@@ -45,13 +45,7 @@ _DIMENSION_ENUMS = {
 
 
 def subdimension_value(identity: Identity, dimension: Dimension):
-    if dimension is Dimension.RELIGION:
-        return identity.religion
-    if dimension is Dimension.GENDER:
-        return identity.gender
-    if dimension is Dimension.MARITAL_STATUS:
-        return identity.marital_status
-    return identity.children
+    return getattr(identity, dimension.value)
 
 
 @dataclass(frozen=True)
@@ -149,35 +143,39 @@ def series(
     Results are ordered by axis value, then family, then method, each in
     canonical declaration order; empty combinations are omitted.
     """
-    results: list[AverageResult] = []
-    methods = [m for m in PromptMethod if any(c.key.method is m for c in cells)]
-    if axis is SeriesAxis.METHOD_BY_FAMILY:
-        for method in methods:
-            for family in LanguageFamily:
-                query = AverageQuery(
-                    method=method, application=application, family=family
-                )
-                try:
-                    results.append(average_by_method(cells, query))
-                except NoMatchingCellsError:
-                    continue
-        return results
+    dimension = _AXIS_DIMENSIONS.get(axis)
+    groups: dict[tuple, list[float]] = {}
+    for cell in cells:
+        key = cell.key
+        if application is not None and key.application is not application:
+            continue
+        value = (
+            key.method
+            if dimension is None
+            else subdimension_value(key.identity, dimension)
+        )
+        groups.setdefault((value, key.language.family, key.method), []).append(
+            cell.bias_score
+        )
 
-    dimension = _AXIS_DIMENSIONS[axis]
-    for value in _DIMENSION_ENUMS[dimension]:
+    values = PromptMethod if dimension is None else _DIMENSION_ENUMS[dimension]
+    results: list[AverageResult] = []
+    for value in values:
         for family in LanguageFamily:
-            for method in methods:
+            for method in PromptMethod:
+                scores = groups.get((value, family, method))
+                if not scores:
+                    continue
                 query = AverageQuery(
                     method=method,
                     application=application,
                     family=family,
                     dimension=dimension,
-                    subdimension=value,
+                    subdimension=None if dimension is None else value,
                 )
-                try:
-                    results.append(average_by_subdimension(cells, query))
-                except NoMatchingCellsError:
-                    continue
+                results.append(
+                    AverageResult(query=query, mean=fmean(scores), n=len(scores))
+                )
     return results
 
 

@@ -26,8 +26,15 @@ from .lexicon import (
     seed_lexicon_path,
     validate_lexicon,
 )
-from .pipeline import ConfigError, StageError, load_config, pipeline_run
-from .preprocess import load_stopwords
+from .pipeline import (
+    ConfigError,
+    StageError,
+    generate_stage,
+    ingest_stage,
+    load_config,
+    pipeline_run,
+    score_stage,
+)
 from .prompts import (
     PromptError,
     prompt_record,
@@ -150,46 +157,15 @@ def cmd_generate_run(args: argparse.Namespace) -> int:
     if args.methods:
         config.methods = _parse_methods(args.methods)
     if args.seed is not None:
-        config.seed = args.seed
-        if config.backend.get("kind", "stub") == "stub":
-            config.backend = {**config.backend, "seed": args.seed}
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sink = gen.RecordSink(out_dir / "records.jsonl")
-    summary = gen.run_matrix(
-        languages=config.languages,
-        methods=config.methods,
-        backend=config.make_backend(),
-        sink=sink,
-        gen_config=config.generation,
-        trans_config=config.translation,
-        concurrency=config.concurrency,
-    )
-    (out_dir / "run_summary.json").write_text(
-        json.dumps(summary.to_json_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+        config = config.with_seed(args.seed)
+    counts = generate_stage(config, Path(args.out))
     if not args.quiet:
-        print(json.dumps(summary.to_json_dict()["counts"], indent=2, sort_keys=True))
-    totals = summary.to_json_dict()["counts"].values()
-    generated = sum(c["generated"] for c in totals)
-    failed = sum(c["failed"] for c in totals)
-    if generated == 0 and failed > 0:
-        # partial failures are tolerated and resumable; producing nothing
-        # at all means the backend never worked
-        raise gen.BackendUnavailableError(
-            f"all {failed} attempted generations failed"
-        )
+        print(json.dumps(counts, indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    records = corpus_mod.read_records(args.infile)
-    detector = corpus_mod.stub_english_detector if args.detector == "stub" else None
-    cleaned, summary = corpus_mod.clean_records(records, detector)
-    stopwords = load_stopwords(args.stopwords)
-    corpora = corpus_mod.build_corpus(cleaned, stopwords=stopwords)
-    corpus_mod.write_corpus_dir(corpora, args.out, summary)
+    corpora, summary = ingest_stage(args.infile, args.out, args.detector, args.stopwords)
     if not args.quiet:
         print(
             f"kept {summary.kept}/{summary.input_records} records; "
@@ -202,20 +178,9 @@ def cmd_score(args: argparse.Namespace) -> int:
     corpora = corpus_mod.read_corpus_dir(args.corpus)
     if not corpora:
         raise FileNotFoundError(f"no corpus_*.jsonl files in {args.corpus}")
-    lexicon = load_lexicon(args.lexicon)
-    scope = scoring.Scope(args.scope)
-    cells: list[scoring.ScoreCell] = []
-    overall_rows = []
-    for (language, method) in sorted(
-        corpora,
-        key=lambda lm: (
-            corpus_mod.LANGUAGE_ORDER[lm[0]],
-            corpus_mod.METHOD_ORDER[lm[1]],
-        ),
-    ):
-        corpus = corpora[(language, method)]
-        cells.extend(scoring.score_corpus(corpus, lexicon, scope))
-        overall_rows.extend(scoring.overall_top_terms(corpus))
+    cells, overall_rows = score_stage(
+        corpora, load_lexicon(args.lexicon), scoring.Scope(args.scope)
+    )
     scoring.write_scores(cells, args.out)
     if args.overall_out:
         scoring.write_overall_terms(overall_rows, args.overall_out)

@@ -18,7 +18,7 @@ import os
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -73,13 +73,7 @@ class GenerationConfig:
             raise ValueError("repetition_penalty must be >= 1")
 
     def to_request_fields(self) -> dict:
-        return {
-            "temperature": self.temperature,
-            "top_k": self.top_k,
-            "top_p": self.top_p,
-            "max_new_tokens": self.max_new_tokens,
-            "repetition_penalty": self.repetition_penalty,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -94,7 +88,7 @@ class TranslationConfig:
             raise ValueError("max_new_tokens must be >= 1")
 
     def to_request_fields(self) -> dict:
-        return {"num_beams": self.num_beams, "max_new_tokens": self.max_new_tokens}
+        return asdict(self)
 
 
 # Mix of everyday vocabulary and identity-linked terms so stub corpora

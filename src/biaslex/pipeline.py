@@ -6,7 +6,7 @@ re-checked or re-run in isolation; nothing is held only in memory.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import aggregate as agg
@@ -42,14 +42,8 @@ _BACKEND_KEYS = {
     "backoff",
     "seed",
 }
-_GENERATION_KEYS = {
-    "temperature",
-    "top_k",
-    "top_p",
-    "max_new_tokens",
-    "repetition_penalty",
-}
-_TRANSLATION_KEYS = {"num_beams", "max_new_tokens"}
+_GENERATION_KEYS = {f.name for f in fields(gen.GenerationConfig)}
+_TRANSLATION_KEYS = {f.name for f in fields(gen.TranslationConfig)}
 _EXPANSION_KEYS = {"threshold", "synonyms", "similarity"}
 _TOP_LEVEL_KEYS = {
     "out_dir",
@@ -90,7 +84,13 @@ class RunConfig:
     lexicon_path: Path | None = None
     stopwords_path: Path | None = None
     detector: str = "stub"
-    expansion_threshold: float = 0.5
+
+    def with_seed(self, seed: int) -> RunConfig:
+        """A copy run with ``seed``; a stub backend's seed follows it."""
+        backend = self.backend
+        if backend.get("kind", "stub") == "stub":
+            backend = {**backend, "seed": seed}
+        return replace(self, seed=seed, backend=backend)
 
     def make_backend(self) -> gen.Backend:
         kind = self.backend.get("kind", "stub")
@@ -184,7 +184,6 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         lexicon_path=_path("lexicon"),
         stopwords_path=_path("stopwords"),
         detector=detector,
-        expansion_threshold=float(threshold),
     )
 
 
@@ -204,64 +203,105 @@ def _write_json(path: Path, data: dict) -> None:
     )
 
 
+def generate_stage(config: RunConfig, out: Path) -> dict:
+    """Generate the grid into ``out/records.jsonl`` and write ``run_summary.json``.
+
+    Returns the per-phase counts. Partial failures are tolerated and
+    resumable; a run that produced nothing at all raises
+    :class:`~biaslex.generation.BackendUnavailableError`, because the
+    backend never worked.
+    """
+    out.mkdir(parents=True, exist_ok=True)
+    run_summary = gen.run_matrix(
+        languages=config.languages,
+        methods=config.methods,
+        backend=config.make_backend(),
+        sink=gen.RecordSink(out / "records.jsonl"),
+        gen_config=config.generation,
+        trans_config=config.translation,
+        concurrency=config.concurrency,
+    ).to_json_dict()
+    _write_json(out / "run_summary.json", run_summary)
+    counts = run_summary["counts"]
+    generated = sum(c["generated"] for c in counts.values())
+    failed = sum(c["failed"] for c in counts.values())
+    if generated == 0 and failed > 0:
+        raise gen.BackendUnavailableError(f"all {failed} attempted generations failed")
+    return counts
+
+
+def ingest_stage(
+    records_path: str | Path,
+    corpus_dir: str | Path,
+    detector: str,
+    stopwords_path: str | Path | None,
+) -> tuple[
+    dict[tuple[Language, PromptMethod], corpus_mod.Corpus], corpus_mod.CleaningSummary
+]:
+    """Clean the records, build one corpus per (language, method) and write them.
+
+    ``detector`` is ``"stub"`` for the ASCII-ratio English check or
+    ``"none"`` to keep every record.
+    """
+    records = corpus_mod.read_records(records_path)
+    cleaned, cleaning = corpus_mod.clean_records(
+        records, corpus_mod.stub_english_detector if detector == "stub" else None
+    )
+    corpora = corpus_mod.build_corpus(cleaned, stopwords=load_stopwords(stopwords_path))
+    corpus_mod.write_corpus_dir(corpora, corpus_dir, cleaning)
+    return corpora, cleaning
+
+
+def score_stage(
+    corpora: dict[tuple[Language, PromptMethod], corpus_mod.Corpus],
+    lexicon: BiasLexicon,
+    scope: scoring.Scope,
+) -> tuple[list[scoring.ScoreCell], list]:
+    """Score every corpus, in canonical language then method order.
+
+    Returns the bias-score cells and the overall top-term rows.
+    """
+    cells: list[scoring.ScoreCell] = []
+    overall_rows = []
+    for key in sorted(
+        corpora,
+        key=lambda lm: (
+            corpus_mod.LANGUAGE_ORDER[lm[0]],
+            corpus_mod.METHOD_ORDER[lm[1]],
+        ),
+    ):
+        cells.extend(scoring.score_corpus(corpora[key], lexicon, scope))
+        overall_rows.extend(scoring.overall_top_terms(corpora[key]))
+    return cells, overall_rows
+
+
 def pipeline_run(config: RunConfig, seed_override: int | None = None) -> dict:
     """Run all stages, returning a summary of artifacts written.
 
-    Stops at the first failing stage and reports which one failed.
+    Stops at the first failing stage and reports which one failed. The
+    caller's ``config`` is never modified.
     """
     if seed_override is not None:
-        config.seed = seed_override
-        if config.backend.get("kind", "stub") == "stub":
-            config.backend = {**config.backend, "seed": seed_override}
+        config = config.with_seed(seed_override)
     out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
 
     def rel(path: Path) -> str:
         return str(path.relative_to(out))
 
     summary: dict = {"out_dir": str(out), "stages": {}}
-
-    # generate
     stage = "generate"
     try:
-        backend = config.make_backend()
-        sink = gen.RecordSink(out / "records.jsonl")
-        run_summary = gen.run_matrix(
-            languages=config.languages,
-            methods=config.methods,
-            backend=backend,
-            sink=sink,
-            gen_config=config.generation,
-            trans_config=config.translation,
-            concurrency=config.concurrency,
-        )
-        _write_json(out / "run_summary.json", run_summary.to_json_dict())
-        counts = run_summary.to_json_dict()["counts"]
-        generated = sum(c["generated"] for c in counts.values())
-        failed = sum(c["failed"] for c in counts.values())
-        if generated == 0 and failed > 0:
-            raise gen.BackendUnavailableError(
-                f"all {failed} attempted generations failed"
-            )
+        counts = generate_stage(config, out)
         summary["stages"][stage] = {
             "records": rel(out / "records.jsonl"),
             "counts": counts,
         }
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
 
-    # ingest
-    stage = "ingest"
-    try:
-        records = corpus_mod.read_records(out / "records.jsonl")
-        detector = (
-            corpus_mod.stub_english_detector if config.detector == "stub" else None
-        )
-        cleaned, cleaning = corpus_mod.clean_records(records, detector)
-        stopwords = load_stopwords(config.stopwords_path)
-        corpora = corpus_mod.build_corpus(cleaned, stopwords=stopwords)
+        stage = "ingest"
         corpus_dir = out / "corpus"
-        corpus_mod.write_corpus_dir(corpora, corpus_dir, cleaning)
+        corpora, _ = ingest_stage(
+            out / "records.jsonl", corpus_dir, config.detector, config.stopwords_path
+        )
         summary["stages"][stage] = {
             "corpus_dir": rel(corpus_dir),
             "documents": {
@@ -271,25 +311,9 @@ def pipeline_run(config: RunConfig, seed_override: int | None = None) -> dict:
                 )
             },
         }
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
 
-    # score
-    stage = "score"
-    try:
-        lexicon = config.load_lexicon()
-        cells: list[scoring.ScoreCell] = []
-        overall_rows = []
-        for (language, method) in sorted(
-            corpora,
-            key=lambda lm: (
-                corpus_mod.LANGUAGE_ORDER[lm[0]],
-                corpus_mod.METHOD_ORDER[lm[1]],
-            ),
-        ):
-            corpus = corpora[(language, method)]
-            cells.extend(scoring.score_corpus(corpus, lexicon, config.scope))
-            overall_rows.extend(scoring.overall_top_terms(corpus))
+        stage = "score"
+        cells, overall_rows = score_stage(corpora, config.load_lexicon(), config.scope)
         scoring.write_scores(cells, out / "scores.jsonl")
         scoring.write_overall_terms(overall_rows, out / "overall.jsonl")
         summary["stages"][stage] = {
@@ -297,12 +321,8 @@ def pipeline_run(config: RunConfig, seed_override: int | None = None) -> dict:
             "overall": rel(out / "overall.jsonl"),
             "cells": len(cells),
         }
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
 
-    # aggregate
-    stage = "aggregate"
-    try:
+        stage = "aggregate"
         averages_dir = out / "averages"
         averages_dir.mkdir(exist_ok=True)
         averages_files = []
@@ -314,12 +334,8 @@ def pipeline_run(config: RunConfig, seed_override: int | None = None) -> dict:
             agg.write_averages_csv(results, path)
             averages_files.append(rel(path))
         summary["stages"][stage] = {"files": averages_files}
-    except Exception as exc:
-        raise StageError(stage, exc) from exc
 
-    # report
-    stage = "report"
-    try:
+        stage = "report"
         reports_dir = out / "reports"
         reports_dir.mkdir(exist_ok=True)
         report_files = []

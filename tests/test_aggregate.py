@@ -210,6 +210,76 @@ def test_series_method_by_family_single_family():
     assert [axis_value_of(r) for r in results] == ["original", "simple", "complex"]
 
 
+def _per_query_series(cells, axis, application):
+    """``series`` rebuilt from one ``AverageQuery`` per combination."""
+    dimension = {
+        SeriesAxis.GENDER_BY_FAMILY: Dimension.GENDER,
+        SeriesAxis.RELIGION_BY_FAMILY: Dimension.RELIGION,
+        SeriesAxis.MARITAL_BY_FAMILY: Dimension.MARITAL_STATUS,
+        SeriesAxis.CHILDREN_BY_FAMILY: Dimension.CHILDREN,
+    }.get(axis)
+    if dimension is None:
+        queries = [
+            AverageQuery(method=method, application=application, family=family)
+            for method in PromptMethod
+            for family in LanguageFamily
+        ]
+        average = average_by_method
+    else:
+        values = {
+            Dimension.GENDER: Gender,
+            Dimension.RELIGION: Religion,
+            Dimension.MARITAL_STATUS: MaritalStatus,
+            Dimension.CHILDREN: Children,
+        }[dimension]
+        queries = [
+            AverageQuery(
+                method=method,
+                application=application,
+                family=family,
+                dimension=dimension,
+                subdimension=value,
+            )
+            for value in values
+            for family in LanguageFamily
+            for method in PromptMethod
+        ]
+        average = average_by_subdimension
+    results = []
+    for query in queries:
+        try:
+            results.append(average(cells, query))
+        except NoMatchingCellsError:
+            continue
+    return results
+
+
+@pytest.mark.parametrize("application", [None, *ApplicationKind])
+@pytest.mark.parametrize("axis", list(SeriesAxis))
+def test_series_equals_one_query_per_combination(axis, application):
+    rng = random.Random(5)
+    dropped = (Gender.FEMALE, PromptMethod.SIMPLE_DEBIAS)
+    cells = [
+        cell(identity, rng.uniform(0, 1), method=method, application=kind,
+             language=language)
+        for language in (Language.HINDI, Language.TAMIL)
+        for method in PromptMethod
+        for identity in enumerate_identities()
+        for kind in ApplicationKind
+        # no Tamil and no female simple-debias cells, so some (value,
+        # family, method) combinations are empty
+        if not (language is Language.TAMIL and method is PromptMethod.SIMPLE_DEBIAS)
+        and (identity.gender, method) != dropped
+    ]
+    rng.shuffle(cells)
+    got = series(cells, axis, application)
+    # exact: both sum the same scores in the same order
+    assert got == _per_query_series(cells, axis, application)
+    present = {(r.query.family, r.query.method) for r in got}
+    assert (LanguageFamily.DRAVIDIAN, PromptMethod.SIMPLE_DEBIAS) not in present
+    assert (LanguageFamily.INDO_ARYAN, PromptMethod.SIMPLE_DEBIAS) in present
+
+
 def test_series_empty_cells():
     assert series([], SeriesAxis.GENDER_BY_FAMILY) == []
 

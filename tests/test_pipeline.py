@@ -114,9 +114,8 @@ def test_pipeline_is_the_composition_of_the_subcommands(tmp_path):
     assert main(
         ["generate", "run", "--config", str(config_path), "--out", str(manual)]
     ) == 0
-    assert (manual / "records.jsonl").read_bytes() == (
-        pipe / "records.jsonl"
-    ).read_bytes()
+    for name in ["records.jsonl", "run_summary.json"]:
+        assert (manual / name).read_bytes() == (pipe / name).read_bytes()
 
     assert main(
         ["ingest", "--in", str(manual / "records.jsonl"), "--out", str(manual / "corpus")]
@@ -160,3 +159,23 @@ def test_pipeline_seed_override_changes_outputs(tmp_path):
     assert (tmp_path / "a" / "records.jsonl").read_bytes() != (
         tmp_path / "b" / "records.jsonl"
     ).read_bytes()
+
+
+def test_pipeline_seed_override_leaves_the_callers_config_alone(tmp_path):
+    config = RunConfig(
+        out_dir=tmp_path / "run",
+        methods=[PromptMethod.ORIGINAL],
+        backend={"kind": "stub"},
+    )
+    pipeline_run(config, seed_override=99)
+    assert config.seed == 0
+    assert config.backend == {"kind": "stub"}
+
+
+def test_with_seed_moves_a_stub_seed_but_not_an_http_one(tmp_path):
+    stub = RunConfig(out_dir=tmp_path, backend={"kind": "stub", "seed": 3})
+    assert stub.with_seed(8).backend == {"kind": "stub", "seed": 8}
+    http = RunConfig(out_dir=tmp_path, backend={"kind": "http", "url": "http://x"})
+    moved = http.with_seed(8)
+    assert moved.seed == 8
+    assert moved.backend == {"kind": "http", "url": "http://x"}
