@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -22,7 +22,13 @@ from .identities import (
     PromptMethod,
     identity_order,
 )
-from .preprocess import Lemmatizer, load_stopwords, normalize_text, preprocess
+from .preprocess import (
+    Lemmatizer,
+    load_stopwords,
+    normalize_text,
+    preprocess,
+    rule_lemmatize,
+)
 
 LanguageDetector = Callable[[str], str]
 
@@ -33,6 +39,9 @@ LANGUAGE_ORDER = {language: i for i, language in enumerate(Language)}
 
 def stub_english_detector(text: str) -> str:
     """Deterministic language guess: ``en`` iff letters are mostly ASCII."""
+    if text.isascii():
+        # every letter is ASCII, so the ratio below is 1 whenever one exists
+        return "en" if any(ch.isalpha() for ch in text) else "und"
     letters = [ch for ch in text if ch.isalpha()]
     if not letters:
         return "und"
@@ -290,8 +299,10 @@ def build_corpus(
 
     All English text for a document key is concatenated and preprocessed
     together; lemmas occurring in any contributing prompt are excluded
-    from that document's tokens.
+    from that document's tokens. The lemmatizer is memoized for the
+    duration of the call, so each distinct token is lemmatized once.
     """
+    lemmatize = cache(lemmatizer or rule_lemmatize)
     if stopwords is None:
         stopwords = load_stopwords()
     grouped: dict[DocumentKey, list[GenerationRecord]] = {}
@@ -306,7 +317,7 @@ def build_corpus(
         tokens = preprocess(
             text,
             key.application,
-            lemmatizer=lemmatizer,
+            lemmatizer=lemmatize,
             stopwords=stopwords,
             prompt_text=prompts,
         )

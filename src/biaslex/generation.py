@@ -52,6 +52,11 @@ class PrerequisiteMissingError(Exception):
     """Debias generation was requested before its originals exist."""
 
 
+class CorruptRecordsError(ValueError):
+    """A record file holds a line, other than an unfinished last one, that
+    is not a record."""
+
+
 @dataclass(frozen=True)
 class GenerationConfig:
     temperature: float = 0.7
@@ -238,21 +243,65 @@ def record_id_for(
     return "-".join(parts)
 
 
+# what a line that is not a record raises on its way to a GenerationRecord
+_UNPARSEABLE = (ValueError, KeyError, TypeError, AttributeError)
+
+
+def _parse_record(line: bytes) -> GenerationRecord:
+    return GenerationRecord.from_json_dict(json.loads(line))
+
+
 class RecordSink:
-    """Append-only JSONL store; one complete record per line."""
+    """Append-only JSONL store; one complete record per line.
+
+    Opening an existing file indexes its records. A last line with no
+    newline that does not parse was cut short by a crash mid-write: it is
+    truncated away (``dropped_tail`` notes where), so its cell is generated
+    again. Any other line that does not parse raises
+    :class:`CorruptRecordsError`. The file stays open for appending until
+    :meth:`close`; every line is flushed as it is written.
+    """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._ids: set[str] = set()
         self._originals: dict[str, GenerationRecord] = {}
+        self._handle = None
+        self.dropped_tail: dict[str, int] | None = None
         if self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                record = GenerationRecord.from_json_dict(json.loads(line))
-                self._index(record)
+            self._load()
+
+    def _load(self) -> None:
+        complete = 0  # bytes up to the end of the last complete line
+        tail = None
+        with open(self.path, "rb") as handle:
+            for number, line in enumerate(handle, 1):
+                if not line.endswith(b"\n"):
+                    tail = (number, line)
+                    break
+                complete += len(line)
+                if line.strip():
+                    try:
+                        self._index(_parse_record(line))
+                    except _UNPARSEABLE as exc:
+                        raise CorruptRecordsError(
+                            f"{self.path}: line {number} is not a record: {exc}"
+                        ) from exc
+        if tail is None or not tail[1].strip():
+            return
+        number, line = tail
+        try:
+            record = _parse_record(line)
+        except _UNPARSEABLE:
+            with open(self.path, "r+b") as handle:
+                handle.truncate(complete)
+            self.dropped_tail = {"line": number, "bytes": len(line)}
+        else:
+            # complete but unterminated: end it so the next append starts afresh
+            with open(self.path, "ab") as handle:
+                handle.write(b"\n")
+            self._index(record)
 
     def _index(self, record: GenerationRecord) -> None:
         self._ids.add(record.record_id)
@@ -271,11 +320,18 @@ class RecordSink:
         )
 
     def append(self, record: GenerationRecord) -> None:
+        if self._handle is None:
+            self._handle = open(self.path, "a", encoding="utf-8")
         line = json.dumps(record.to_json_dict(), ensure_ascii=False) + "\n"
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line)
-            handle.flush()
+        self._handle.write(line)
+        self._handle.flush()
         self._index(record)
+
+    def close(self) -> None:
+        """Release the file handle; a later :meth:`append` reopens it."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
 
 @dataclass
@@ -284,6 +340,7 @@ class RunSummary:
 
     counts: dict[str, dict[str, int]] = field(default_factory=dict)
     failures: list[dict[str, str]] = field(default_factory=list)
+    dropped_tail: dict[str, int] | None = None
 
     def _cell(self, language: Language, method: PromptMethod) -> dict[str, int]:
         key = f"{language.value}/{method.value}"
@@ -292,10 +349,13 @@ class RunSummary:
         )
 
     def to_json_dict(self) -> dict:
-        return {
+        data = {
             "counts": {k: dict(v) for k, v in sorted(self.counts.items())},
             "failures": list(self.failures),
         }
+        if self.dropped_tail is not None:
+            data["dropped_tail"] = dict(self.dropped_tail)
+        return data
 
 
 def _generate_cell(
@@ -323,24 +383,29 @@ def run_matrix(
     Already-persisted records are skipped, so an interrupted run resumes
     from where it stopped. Per-cell failures are recorded and the run
     continues; requesting a debias method with no originals available for
-    a language raises :class:`PrerequisiteMissingError`.
+    a language raises :class:`PrerequisiteMissingError`. The sink is closed
+    when the run ends.
     """
     gen_config = gen_config or GenerationConfig()
     trans_config = trans_config or TranslationConfig()
-    summary = RunSummary()
+    summary = RunSummary(dropped_tail=sink.dropped_tail)
     ordered_methods = [m for m in PromptMethod if m in set(methods)]
 
-    for language in languages:
-        for method in ordered_methods:
-            if method.is_debias and not sink.has_originals(language):
-                raise PrerequisiteMissingError(
-                    f"no original generations for {language.value}; "
-                    f"cannot run {method.value} debiasing"
+    try:
+        for language in languages:
+            for method in ordered_methods:
+                if method.is_debias and not sink.has_originals(language):
+                    raise PrerequisiteMissingError(
+                        f"no original generations for {language.value}; "
+                        f"cannot run {method.value} debiasing"
+                    )
+                cells = _phase_cells(language, method, sink, summary)
+                _run_phase(
+                    cells, backend, sink, summary, gen_config, trans_config,
+                    concurrency,
                 )
-            cells = _phase_cells(language, method, sink, summary)
-            _run_phase(
-                cells, backend, sink, summary, gen_config, trans_config, concurrency
-            )
+    finally:
+        sink.close()
     return summary
 
 
@@ -367,10 +432,12 @@ def _phase_cells(
                     language, PromptMethod.ORIGINAL, identity, app
                 )
                 original = sink.original(original_id)
-                if original is None:
+                if original is None or not original.raw_output:
+                    # nothing to debias; render_debias_prompt would refuse it
                     counts["failed"] += 1
+                    problem = "missing" if original is None else "empty"
                     summary.failures.append(
-                        {"record_id": rid, "error": "original output missing"}
+                        {"record_id": rid, "error": f"original output {problem}"}
                     )
                     continue
                 prompt = render_debias_prompt(method, original.raw_output)

@@ -135,6 +135,9 @@ class BiasLexicon:
                     f"duplicate entry for lemma {entry.lemma!r}"
                 )
             seen.add(entry.key)
+        self._lemmas = frozenset(e.lemma for e in self._entries)
+        # entries never change, so each identity's scope is scanned once
+        self._scopes: dict[Identity, frozenset[str]] = {}
 
     @property
     def entries(self) -> tuple[BiasTerm, ...]:
@@ -147,13 +150,16 @@ class BiasLexicon:
         return iter(self._entries)
 
     def lemmas(self) -> frozenset[str]:
-        return frozenset(e.lemma for e in self._entries)
+        return self._lemmas
 
     def applicable_terms(self, identity: Identity) -> frozenset[str]:
         """Lemmas of all entries whose selector matches ``identity``."""
-        return frozenset(
-            e.lemma for e in self._entries if e.selector.matches(identity)
-        )
+        scope = self._scopes.get(identity)
+        if scope is None:
+            scope = self._scopes[identity] = frozenset(
+                e.lemma for e in self._entries if e.selector.matches(identity)
+            )
+        return scope
 
 
 def applicable_terms(lexicon: BiasLexicon, identity: Identity) -> frozenset[str]:

@@ -12,7 +12,8 @@ whole pipeline is reproducible without model downloads. Its behaviour:
   as-is so adjectival vocabulary (``isolated``, ``cooking``) survives
   unchanged.
 
-Callers may inject any ``Callable[[str], str]`` in its place.
+Callers may inject any pure ``Callable[[str], str]`` in its place (see
+``Lemmatizer``).
 """
 from __future__ import annotations
 
@@ -24,6 +25,8 @@ from typing import Callable
 
 from .identities import Application, ApplicationKind
 
+# Must be a pure function of its token: ``build_corpus`` memoizes it for the
+# length of one call, so it sees each distinct token once.
 Lemmatizer = Callable[[str], str]
 
 _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)

@@ -68,12 +68,27 @@ def overall_tfidf(term: str, doc: Document, corpus: Corpus) -> float:
     return bias_tfidf(term, doc, corpus)
 
 
+def _idf_table(corpus: Corpus, terms: Iterable[str]) -> dict[str, float]:
+    """:func:`bias_idf` of each of ``terms``, computed once per term."""
+    return {term: bias_idf(term, corpus) for term in terms}
+
+
+def _weights(
+    doc: Document, terms: Iterable[str], idf: dict[str, float]
+) -> dict[str, float]:
+    """tfidf of each of ``terms`` (all present in ``doc``), in the given order.
+
+    Each value is the float :func:`bias_tfidf` computes.
+    """
+    counts, total = doc.term_counts, doc.total_terms
+    return {term: counts[term] / total * idf[term] for term in terms}
+
+
 def _argmax_term(values: dict[str, float]) -> tuple[str, float] | None:
     if not values:
         return None
     # highest value wins; ties break toward the lexicographically smaller lemma
-    best = sorted(values.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-    return best
+    return min(values.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 @dataclass(frozen=True)
@@ -117,6 +132,16 @@ class ScoreCell:
         )
 
 
+def _scoped_terms(doc: Document, lexicon: BiasLexicon, scope: Scope) -> list[str]:
+    """The document's lexicon lemmas under ``scope``, sorted so a score
+    always sums its terms in the same order."""
+    if scope is Scope.IDENTITY_SCOPED:
+        eligible = lexicon.applicable_terms(doc.key.identity)
+    else:
+        eligible = lexicon.lemmas()
+    return sorted(doc.distinct_terms & eligible)
+
+
 def bias_score(
     doc: Document,
     corpus: Corpus,
@@ -128,22 +153,15 @@ def bias_score(
     With identity scoping, only lemmas whose selector matches the
     document's identity are counted; otherwise every lexicon lemma counts.
     """
-    if scope is Scope.IDENTITY_SCOPED:
-        eligible = lexicon.applicable_terms(doc.key.identity)
-    else:
-        eligible = lexicon.lemmas()
-    per_term = {
-        term: bias_tfidf(term, doc, corpus)
-        for term in sorted(doc.distinct_terms & eligible)
-    }
-    return ScoreCell.from_terms(doc.key, per_term)
+    terms = _scoped_terms(doc, lexicon, scope)
+    idf = _idf_table(corpus, terms)
+    return ScoreCell.from_terms(doc.key, _weights(doc, terms, idf))
 
 
 def top_overall_term(doc: Document, corpus: Corpus) -> tuple[str, float] | None:
     """Highest-weighted term of the document; ``None`` when it is empty."""
-    return _argmax_term(
-        {term: overall_tfidf(term, doc, corpus) for term in doc.distinct_terms}
-    )
+    terms = doc.distinct_terms
+    return _argmax_term(_weights(doc, terms, _idf_table(corpus, terms)))
 
 
 def score_corpus(
@@ -151,13 +169,25 @@ def score_corpus(
     lexicon: BiasLexicon,
     scope: Scope = Scope.IDENTITY_SCOPED,
 ) -> list[ScoreCell]:
-    return [bias_score(doc, corpus, lexicon, scope) for doc in corpus]
+    """:func:`bias_score` of every document, from one idf table."""
+    idf = _idf_table(corpus, corpus.vocabulary())
+    return [
+        ScoreCell.from_terms(
+            doc.key, _weights(doc, _scoped_terms(doc, lexicon, scope), idf)
+        )
+        for doc in corpus
+    ]
 
 
 def overall_top_terms(
     corpus: Corpus,
 ) -> list[tuple[DocumentKey, tuple[str, float] | None]]:
-    return [(doc.key, top_overall_term(doc, corpus)) for doc in corpus]
+    """:func:`top_overall_term` of every document, from one idf table."""
+    idf = _idf_table(corpus, corpus.vocabulary())
+    return [
+        (doc.key, _argmax_term(_weights(doc, doc.distinct_terms, idf)))
+        for doc in corpus
+    ]
 
 
 def write_scores(cells: Iterable[ScoreCell], path: str | Path) -> int:

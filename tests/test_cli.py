@@ -161,6 +161,19 @@ def test_generate_run_unreachable_endpoint(tmp_path):
     assert summary["counts"]["hindi/original"]["failed"] == 288
 
 
+def test_generate_run_refuses_a_corrupt_record_file(stub_run, tmp_path, capsys):
+    _, config, out = stub_run
+    lines = (out / "records.jsonl").read_bytes().splitlines(keepends=True)
+    lines[2] = b"{not a record\n"
+    target = tmp_path / "gen"
+    target.mkdir()
+    (target / "records.jsonl").write_bytes(b"".join(lines))
+    code = run_cli("generate", "run", "--config", str(config), "--out", str(target))
+    assert code == 1
+    diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "line 3 " in diagnostic["message"]
+
+
 def test_ingest_score_aggregate_report_chain(stub_run, tmp_path):
     _, _, gen_out = stub_run
     corpus_dir = tmp_path / "corpus"

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,7 @@ from biaslex.identities import (
     enumerate_identities,
     iter_applications,
 )
-from biaslex.preprocess import load_stopwords
+from biaslex.preprocess import load_stopwords, rule_lemmatize, tokenize
 from biaslex.prompts import render_application_prompt
 
 STOPWORDS = load_stopwords()
@@ -65,6 +66,59 @@ def test_stub_detector():
     assert stub_english_detector("The market was busy this morning.") == "en"
     assert stub_english_detector("आज बाज़ार") == "und"
     assert stub_english_detector("12345 !!!") == "und"
+
+
+def _letter_ratio_detector(text):
+    """The detector's definition: ``en`` iff at least 90% of letters are ASCII."""
+    letters = [ch for ch in text if ch.isalpha()]
+    if not letters:
+        return "und"
+    ascii_letters = sum(1 for ch in letters if ch.isascii())
+    return "en" if ascii_letters / len(letters) >= 0.9 else "und"
+
+
+_DETECTOR_ALPHABET = st.sampled_from(
+    list("abcXYZ019 .,!\n") + list("आजबाज़ारक्ष०१२ािं") + list("éßñ") + ["\u200d"]
+)
+
+
+@given(
+    text=st.one_of(
+        st.text(alphabet=_DETECTOR_ALPHABET, max_size=60),
+        st.text(alphabet=st.characters(max_codepoint=127), max_size=40),
+        st.text(max_size=40),
+    )
+)
+@settings(max_examples=500, deadline=None)
+def test_stub_detector_equals_the_letter_ratio(text):
+    assert stub_english_detector(text) == _letter_ratio_detector(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["", "12345", "   ", "abc", "आज", "a" * 9 + "आ", "a" * 8 + "आ"]
+)
+def test_stub_detector_edge_cases(text):
+    assert stub_english_detector(text) == _letter_ratio_detector(text)
+
+
+def test_build_corpus_lemmatizes_each_distinct_token_once():
+    records = full_grid_records()
+    calls = Counter()
+
+    def counting_lemmatizer(token):
+        calls[token] += 1
+        return rule_lemmatize(token)
+
+    corpora = build_corpus(records, lemmatizer=counting_lemmatizer, stopwords=STOPWORDS)
+    tokens = {
+        tok for r in records for tok in tokenize(r.english_text + "\n" + r.prompt_text)
+    }
+    assert set(calls) == tokens
+    assert set(calls.values()) == {1}
+    default = build_corpus(records, stopwords=STOPWORDS)
+    assert [d.tokens for c in corpora.values() for d in c] == [
+        d.tokens for c in default.values() for d in c
+    ]
 
 
 def test_duplicate_text_within_key_is_dropped():

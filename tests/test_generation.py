@@ -1,12 +1,14 @@
 import json
 import threading
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from biaslex.corpus import read_records
+from biaslex.corpus import read_records, write_records
 from biaslex.generation import (
     BackendUnavailableError,
+    CorruptRecordsError,
     GenerationConfig,
     HttpBackend,
     MalformedResponseError,
@@ -213,6 +215,7 @@ def http_server():
     _Handler.seen = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def test_http_backend_round_trip(http_server):
@@ -289,3 +292,130 @@ def test_record_failures_do_not_stop_the_run(tmp_path):
     assert counts["generated"] == 260
     assert len(summary.failures) == 28
     assert len(read_records(sink.path)) == 260
+
+
+def _original_run(path, seed=1):
+    run_matrix([Language.HINDI], [PromptMethod.ORIGINAL], StubBackend(seed=seed), RecordSink(path))
+    return path.read_bytes()
+
+
+def test_truncated_last_line_is_dropped_and_regenerated(tmp_path):
+    path = tmp_path / "records.jsonl"
+    full = _original_run(path)
+    last_line = full[full.rstrip(b"\n").rfind(b"\n") + 1 :]
+    path.write_bytes(full[:-40])  # a crash in the middle of the last write
+
+    sink = RecordSink(path)
+    assert path.read_bytes() == full[: -len(last_line)]
+    assert sink.dropped_tail == {"line": 288, "bytes": len(last_line) - 40}
+    summary = run_matrix(
+        [Language.HINDI], [PromptMethod.ORIGINAL], StubBackend(seed=1), sink
+    ).to_json_dict()
+    assert path.read_bytes() == full
+    assert summary["counts"]["hindi/original"]["generated"] == 1
+    assert summary["dropped_tail"] == sink.dropped_tail
+
+
+def test_truncation_inside_a_multibyte_character_is_a_partial_write(tmp_path):
+    path = tmp_path / "records.jsonl"
+    _original_run(path)
+    first, second = read_records(path)[:2]
+    write_records([first, replace(second, raw_output="आज बाज़ार")], path)
+    data = path.read_bytes()
+    path.write_bytes(data[: data.index("बाज़ार".encode()) + 1])
+
+    sink = RecordSink(path)
+    assert first.record_id in sink and second.record_id not in sink
+    assert sink.dropped_tail["line"] == 2
+    assert read_records(path) == [first]
+
+
+def test_line_separator_inside_a_record_is_not_a_line_break(tmp_path):
+    # json.dumps(ensure_ascii=False) leaves U+2028 raw; only "\n" ends a record
+    path = tmp_path / "records.jsonl"
+    _original_run(path)
+    first = read_records(path)[0]
+    write_records([replace(first, raw_output="one\u2028two\x85three")], path)
+    sink = RecordSink(path)
+    assert first.record_id in sink and sink.dropped_tail is None
+
+
+def test_clean_run_summary_reports_no_dropped_tail(tmp_path):
+    path = tmp_path / "records.jsonl"
+    _original_run(path)
+    summary = run_matrix(
+        [Language.HINDI], [PromptMethod.ORIGINAL], StubBackend(seed=1), RecordSink(path)
+    ).to_json_dict()
+    assert set(summary) == {"counts", "failures"}
+
+
+def test_complete_unterminated_last_line_is_kept(tmp_path):
+    path = tmp_path / "records.jsonl"
+    full = _original_run(path)
+    path.write_bytes(full[:-1])
+    sink = RecordSink(path)
+    assert sink.dropped_tail is None
+    assert path.read_bytes() == full
+    assert len(sink._ids) == 288
+
+
+def test_corrupt_line_before_the_last_is_refused(tmp_path):
+    path = tmp_path / "records.jsonl"
+    lines = _original_run(path).splitlines(keepends=True)
+    lines[4] = lines[4][:30] + b"\n"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(CorruptRecordsError, match="line 5 ") as info:
+        RecordSink(path)
+    assert isinstance(info.value, ValueError)
+    assert path.read_bytes() == b"".join(lines)
+
+
+def test_sink_keeps_one_handle_and_reopens_after_close(tmp_path):
+    path = tmp_path / "records.jsonl"
+    _original_run(path)
+    records = read_records(path)
+    target = tmp_path / "copy.jsonl"
+    sink = RecordSink(target)
+    sink.append(records[0])
+    handle = sink._handle
+    sink.append(records[1])
+    assert sink._handle is handle
+    assert target.read_bytes().count(b"\n") == 2  # flushed line by line
+    sink.close()
+    assert handle.closed
+    sink.append(records[2])
+    sink.close()
+    assert read_records(target) == records[:3]
+
+
+def test_run_matrix_closes_the_sink(tmp_path):
+    sink = RecordSink(tmp_path / "records.jsonl")
+    run_matrix([Language.HINDI], [PromptMethod.ORIGINAL], StubBackend(seed=1), sink)
+    assert sink._handle is None
+    with pytest.raises(PrerequisiteMissingError):
+        run_matrix([Language.TAMIL], [PromptMethod.SIMPLE_DEBIAS], StubBackend(seed=1), sink)
+    assert sink._handle is None
+
+
+def test_empty_original_is_a_cell_failure(tmp_path):
+    path = tmp_path / "records.jsonl"
+    lines = _original_run(path).splitlines(keepends=True)
+    blanked = json.loads(lines[0])
+    blanked["raw_output"] = ""
+    lines[0] = (json.dumps(blanked, ensure_ascii=False) + "\n").encode()
+    path.write_bytes(b"".join(lines))
+
+    for _ in range(2):  # the first run and a resume
+        summary = run_matrix(
+            [Language.HINDI], [PromptMethod.SIMPLE_DEBIAS], StubBackend(seed=1),
+            RecordSink(path),
+        )
+    counts = summary.to_json_dict()["counts"]["hindi/simple"]
+    assert counts["failed"] == 1
+    assert counts["skipped"] == 287
+    assert summary.failures == [
+        {
+            "record_id": blanked["record_id"].replace("-original-", "-simple-"),
+            "error": "original output empty",
+        }
+    ]

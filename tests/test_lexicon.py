@@ -187,6 +187,16 @@ def test_seed_lexicon_applicable_terms(seed_lexicon):
     assert "lonely" in terms
 
 
+def test_applicable_terms_equals_a_fresh_scan_for_every_identity(seed_lexicon):
+    for identity in enumerate_identities():
+        scan = frozenset(
+            e.lemma for e in seed_lexicon if e.selector.matches(identity)
+        )
+        assert seed_lexicon.applicable_terms(identity) == scan
+        assert seed_lexicon.applicable_terms(identity) == scan
+    assert len(enumerate_identities()) == 48
+
+
 def test_seed_lexicon_counts(seed_lexicon):
     assert len(seed_lexicon) == 342
     literature = [

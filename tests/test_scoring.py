@@ -7,12 +7,17 @@ from hypothesis import strategies as st
 
 import oracle
 from conftest import make_corpus
+from biaslex.corpus import Corpus, Document, DocumentKey
 from biaslex.identities import (
+    ApplicationKind,
     Children,
     Gender,
     Identity,
+    Language,
     MaritalStatus,
+    PromptMethod,
     Religion,
+    enumerate_identities,
 )
 from biaslex.lexicon import BiasLexicon, BiasTerm, IdentitySelector, Provenance
 from biaslex.scoring import (
@@ -24,6 +29,7 @@ from biaslex.scoring import (
     bias_score,
     bias_tf,
     bias_tfidf,
+    overall_top_terms,
     overall_tfidf,
     read_scores,
     score_corpus,
@@ -280,3 +286,74 @@ def test_scores_round_trip(tmp_path):
     path = tmp_path / "scores.jsonl"
     write_scores(cells, path)
     assert read_scores(path) == cells
+
+
+_SELECTORS = [
+    IdentitySelector(genders=frozenset({Gender.FEMALE})),
+    IdentitySelector(marital_statuses=frozenset({MaritalStatus.SINGLE})),
+    IdentitySelector(religions=frozenset({Religion.MUSLIM, Religion.HINDU})),
+    IdentitySelector(children=frozenset({Children.NO_CHILDREN})),
+]
+
+
+@given(
+    docs=st.dictionaries(
+        st.sampled_from(enumerate_identities()),
+        st.lists(st.sampled_from(WORDS), max_size=12),
+        min_size=1,
+        max_size=8,
+    ),
+    entries=st.sets(
+        st.tuples(st.sampled_from(WORDS), st.sampled_from(range(len(_SELECTORS)))),
+        max_size=10,
+    ),
+    scope=st.sampled_from(Scope),
+)
+@settings(max_examples=200, deadline=None)
+def test_corpus_scoring_equals_the_per_term_reference(docs, entries, scope):
+    """One idf table per corpus gives exactly the per-(term, document) floats."""
+    corpus = Corpus(
+        Language.HINDI,
+        PromptMethod.ORIGINAL,
+        [
+            Document(
+                DocumentKey(
+                    Language.HINDI, PromptMethod.ORIGINAL, identity, ApplicationKind.STORY
+                ),
+                tuple(tokens),
+            )
+            for identity, tokens in docs.items()
+        ],
+    )
+    token_lists = [list(doc.tokens) for doc in corpus]
+    lexicon = BiasLexicon(
+        BiasTerm(lemma, _SELECTORS[i], Provenance.LITERATURE) for lemma, i in entries
+    )
+    cells = score_corpus(corpus, lexicon, scope)
+    overall = overall_top_terms(corpus)
+    assert len(cells) == len(overall) == len(token_lists)
+    for doc, tokens, cell, (key, top) in zip(corpus, token_lists, cells, overall):
+        if scope is Scope.IDENTITY_SCOPED:
+            eligible = {e.lemma for e in lexicon if e.selector.matches(doc.key.identity)}
+        else:
+            eligible = {e.lemma for e in lexicon}
+        per_term = {
+            t: bias_tfidf(t, doc, corpus) for t in sorted(doc.distinct_terms & eligible)
+        }
+        assert cell == ScoreCell.from_terms(doc.key, per_term)
+        weights = {t: overall_tfidf(t, doc, corpus) for t in doc.distinct_terms}
+        expected_top = (
+            sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+            if weights
+            else None
+        )
+        assert (key, top) == (doc.key, expected_top)
+
+        for term, value in cell.per_term.items():
+            assert abs(value - oracle.tfidf(term, tokens, token_lists)) < 1e-9
+        assert abs(
+            cell.bias_score
+            - sum(oracle.tfidf(t, tokens, token_lists) for t in per_term)
+        ) < 1e-9
+        if top is not None:
+            assert abs(top[1] - oracle.tfidf(top[0], tokens, token_lists)) < 1e-9
