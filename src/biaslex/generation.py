@@ -9,6 +9,14 @@ Request bodies:
 * generation:  ``{prompt, temperature, top_k, top_p, max_new_tokens,
   repetition_penalty}``
 * translation: ``{prompt, num_beams, max_new_tokens}``
+
+The HTTP client is stdlib ``urllib.request`` with one connection per call
+(it sends ``Connection: close``). Proxy environment variables are honoured.
+301/302/303 are followed as ``urllib`` follows them; 307/308 on a POST are
+rejected like a 4xx. 429, 5xx, connection errors and timeouts are retried
+with exponential backoff; a 429 whose ``Retry-After`` is in delta-seconds
+waits that long instead. Any other 4xx, or a 2xx body without a string
+``text``, is a :class:`MalformedResponseError`.
 """
 from __future__ import annotations
 
@@ -19,10 +27,11 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from http.client import HTTPException
 from pathlib import Path
 from typing import Sequence
-
-import requests
+from urllib.error import HTTPError
+from urllib.request import Request, urlopen
 
 from .corpus import GenerationRecord
 from .identities import (
@@ -138,6 +147,23 @@ class StubBackend:
         return text
 
 
+def _retry_after(value: str | None, default: float) -> float:
+    """Seconds to wait after a 429: its ``Retry-After`` when that is
+    delta-seconds (RFC 9110 section 10.2.3), ``default`` otherwise."""
+    value = (value or "").strip()
+    return int(value) if value.isascii() and value.isdigit() else default
+
+
+def _response_text(body: bytes) -> str:
+    try:
+        data = json.loads(body)
+    except ValueError as exc:
+        raise MalformedResponseError("response body is not JSON") from exc
+    if not isinstance(data, dict) or not isinstance(data.get("text"), str):
+        raise MalformedResponseError("response JSON lacks a string 'text' field")
+    return data["text"]
+
+
 class HttpBackend:
     """Text-completion endpoint client with bounded retries."""
 
@@ -168,37 +194,37 @@ class HttpBackend:
         return headers
 
     def _post(self, url: str, payload: dict) -> str:
+        request = Request(
+            url,
+            data=json.dumps(payload).encode("utf-8"),
+            headers=self._headers(),
+            method="POST",
+        )
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
+            delay = self.backoff * (2**attempt)
             try:
-                response = requests.post(
-                    url, json=payload, headers=self._headers(), timeout=self.timeout
-                )
-            except requests.RequestException as exc:
+                with urlopen(request, timeout=self.timeout) as response:
+                    body = response.read()
+            except HTTPError as exc:
+                with exc:  # releases the error response's socket
+                    status = exc.code
+                    retry_after = exc.headers.get("Retry-After")
+                if status == 429:
+                    last_error = BackendError("rate limited (429)")
+                    delay = _retry_after(retry_after, delay)
+                elif status >= 500:
+                    last_error = BackendError(f"server error {status}")
+                else:
+                    raise MalformedResponseError(
+                        f"request rejected with status {status}"
+                    ) from exc
+            except (OSError, HTTPException) as exc:
                 last_error = exc
             else:
-                if response.status_code >= 500:
-                    last_error = BackendError(f"server error {response.status_code}")
-                elif response.status_code >= 400:
-                    raise MalformedResponseError(
-                        f"request rejected with status {response.status_code}"
-                    )
-                else:
-                    try:
-                        body = response.json()
-                    except ValueError as exc:
-                        raise MalformedResponseError(
-                            "response body is not JSON"
-                        ) from exc
-                    if not isinstance(body, dict) or not isinstance(
-                        body.get("text"), str
-                    ):
-                        raise MalformedResponseError(
-                            "response JSON lacks a string 'text' field"
-                        )
-                    return body["text"]
+                return _response_text(body)
             if attempt < self.max_retries:
-                time.sleep(self.backoff * (2**attempt))
+                time.sleep(delay)
         raise BackendUnavailableError(
             f"backend unreachable after {self.max_retries + 1} attempts: {last_error}"
         )

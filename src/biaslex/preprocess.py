@@ -128,9 +128,9 @@ def application_exclusions(kind: ApplicationKind) -> frozenset[str]:
 
 
 def prompt_lemmas(prompt_text: str, lemmatizer: Lemmatizer | None = None) -> frozenset[str]:
-    """Lemmas of every token in a rendered prompt."""
-    lemmatize = lemmatizer or rule_lemmatize
-    return frozenset(lemmatize(tok) for tok in tokenize(prompt_text))
+    """Lemmas of every token in a rendered prompt; each distinct token is
+    lemmatized once."""
+    return frozenset(map(lemmatizer or rule_lemmatize, set(tokenize(prompt_text))))
 
 
 def preprocess(
@@ -149,11 +149,7 @@ def preprocess(
     lemmatize = lemmatizer or rule_lemmatize
     if stopwords is None:
         stopwords = load_stopwords()
-    excluded = set(application_exclusions(kind))
+    dropped = stopwords | application_exclusions(kind)
     if prompt_text:
-        excluded |= prompt_lemmas(prompt_text, lemmatize)
-    return [
-        lemma
-        for lemma in (lemmatize(tok) for tok in tokenize(text))
-        if lemma not in stopwords and lemma not in excluded
-    ]
+        dropped |= prompt_lemmas(prompt_text, lemmatize)
+    return [lemma for lemma in map(lemmatize, tokenize(text)) if lemma not in dropped]

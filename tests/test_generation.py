@@ -1,12 +1,20 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 from dataclasses import replace
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
+from urllib.error import HTTPError
+from urllib.request import urlopen
 
 import pytest
 
+from biaslex import generation
 from biaslex.corpus import read_records, write_records
 from biaslex.generation import (
+    BackendError,
     BackendUnavailableError,
     CorruptRecordsError,
     GenerationConfig,
@@ -178,26 +186,49 @@ def test_concurrency_preserves_order(tmp_path):
 
 class _Handler(BaseHTTPRequestHandler):
     behaviour = "ok"
+    script = []  # behaviours for the next requests, ahead of ``behaviour``
     seen = []
+    release = threading.Event()  # ends a "stall"
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length))
         type(self).seen.append({"body": body, "auth": self.headers.get("Authorization")})
-        if type(self).behaviour == "ok":
+        behaviour = type(self).script.pop(0) if type(self).script else type(self).behaviour
+        if behaviour == "ok":
             payload = json.dumps({"text": f"echo: {body['prompt'][:20]}"})
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
             self.end_headers()
             self.wfile.write(payload.encode())
-        elif type(self).behaviour == "not-json":
+        elif behaviour == "not-json":
             self.send_response(200)
             self.end_headers()
             self.wfile.write(b"plain text, not json")
-        elif type(self).behaviour == "missing-field":
+        elif behaviour == "missing-field":
             self.send_response(200)
             self.end_headers()
             self.wfile.write(json.dumps({"output": "x"}).encode())
+        elif behaviour == "rejected":
+            self.send_response(404)
+            self.end_headers()
+        elif behaviour == "redirect":
+            self.send_response(307)
+            self.send_header("Location", "/elsewhere")
+            self.end_headers()
+        elif behaviour == "rate-limited":
+            self.send_response(429)
+            self.send_header("Retry-After", "7")
+            self.end_headers()
+        elif behaviour == "rate-limited-until":
+            self.send_response(429)
+            self.send_header("Retry-After", "Wed, 21 Oct 2015 07:28:00 GMT")
+            self.end_headers()
+        elif behaviour == "hang-up":
+            self.close_connection = True  # closes the socket without answering
+        elif behaviour == "stall":
+            type(self).release.wait(5)
+            self.close_connection = True
         else:
             self.send_response(500)
             self.end_headers()
@@ -206,16 +237,31 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+class _Server(ThreadingHTTPServer):
+    daemon_threads = False  # server_close joins every handler thread
+
+
 @pytest.fixture
 def http_server():
-    server = HTTPServer(("127.0.0.1", 0), _Handler)
+    server = _Server(("127.0.0.1", 0), _Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _Handler.behaviour = "ok"
+    _Handler.script = []
     _Handler.seen = []
+    _Handler.release.clear()
     yield f"http://127.0.0.1:{server.server_port}"
+    _Handler.release.set()
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """Backoff delays the HTTP backend asks for, recorded instead of slept."""
+    delays = []
+    monkeypatch.setattr(generation, "time", SimpleNamespace(sleep=delays.append))
+    return delays
 
 
 def test_http_backend_round_trip(http_server):
@@ -267,10 +313,86 @@ def test_http_backend_retries_then_gives_up(http_server):
     assert len(_Handler.seen) == 3  # initial try plus two retries
 
 
+@pytest.mark.parametrize("behaviour", ["rejected", "redirect"])
+def test_http_backend_does_not_retry_a_rejection(http_server, behaviour):
+    _Handler.behaviour = behaviour
+    backend = HttpBackend(url=http_server, max_retries=3, backoff=0.0)
+    with pytest.raises(MalformedResponseError):
+        backend.generate("x", GenerationConfig())
+    assert len(_Handler.seen) == 1
+
+
+@pytest.mark.parametrize("behaviour", ["error", "rate-limited", "rejected"])
+def test_http_backend_closes_error_responses(http_server, monkeypatch, sleeps, behaviour):
+    raised = []
+
+    def recording_urlopen(*args, **kwargs):
+        try:
+            return urlopen(*args, **kwargs)
+        except HTTPError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(generation, "urlopen", recording_urlopen)
+    _Handler.behaviour = behaviour
+    backend = HttpBackend(url=http_server, max_retries=1, backoff=0.0)
+    with pytest.raises(BackendError):
+        backend.generate("x", GenerationConfig())
+    assert raised and all(exc.fp.closed for exc in raised)
+
+
+def test_http_backend_retries_a_hang_up(http_server):
+    _Handler.behaviour = "hang-up"
+    backend = HttpBackend(url=http_server, max_retries=2, backoff=0.0)
+    with pytest.raises(BackendUnavailableError):
+        backend.generate("x", GenerationConfig())
+    assert len(_Handler.seen) == 3
+
+
+def test_http_backend_retries_a_timeout(http_server):
+    _Handler.script = ["stall"]
+    backend = HttpBackend(url=http_server, timeout=0.2, max_retries=1, backoff=0.0)
+    assert backend.generate("x", GenerationConfig()) == "echo: x"
+    assert len(_Handler.seen) == 2
+
+
+def test_http_backend_retries_429_after_retry_after(http_server, sleeps):
+    _Handler.script = ["rate-limited", "rate-limited"]
+    backend = HttpBackend(url=http_server, max_retries=3, backoff=0.5)
+    assert backend.generate("x", GenerationConfig()) == "echo: x"
+    assert len(_Handler.seen) == 3
+    assert sleeps == [7, 7]
+
+
+def test_http_backend_gives_up_on_persistent_429(http_server, sleeps):
+    _Handler.behaviour = "rate-limited"
+    backend = HttpBackend(url=http_server, max_retries=2, backoff=0.5)
+    with pytest.raises(BackendUnavailableError, match="429"):
+        backend.generate("x", GenerationConfig())
+    assert len(_Handler.seen) == 3
+    assert sleeps == [7, 7]
+
+
+def test_http_backend_backs_off_when_retry_after_is_a_date(http_server, sleeps):
+    _Handler.script = ["rate-limited-until"]
+    backend = HttpBackend(url=http_server, max_retries=1, backoff=0.5)
+    assert backend.generate("x", GenerationConfig()) == "echo: x"
+    assert sleeps == [0.5]
+
+
 def test_http_backend_unreachable_host():
     backend = HttpBackend(url="http://127.0.0.1:9", max_retries=1, backoff=0.0)
     with pytest.raises(BackendUnavailableError):
         backend.generate("x", GenerationConfig())
+
+
+def test_runtime_does_not_import_requests():
+    code = "import sys, biaslex.pipeline, biaslex.cli; print('requests' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert (result.returncode, result.stdout.strip()) == (0, "False"), result.stderr
 
 
 def test_record_failures_do_not_stop_the_run(tmp_path):

@@ -135,3 +135,46 @@ def test_no_stopword_survives(text):
     tokens = preprocess(text, ApplicationKind.STORY, stopwords=STOPWORDS)
     assert not (set(tokens) & STOPWORDS)
     assert not (set(tokens) & application_exclusions(ApplicationKind.STORY))
+
+
+_WORDS = (
+    "the is a children values personal interest story school home hospital "
+    "dishes cooking Hindu Muslim married woman man chores"
+).split()
+_phrase = st.one_of(
+    _text_strategy, st.lists(st.sampled_from(_WORDS), max_size=30).map(" ".join)
+)
+
+
+def _per_token_preprocess(text, kind, lemmatize, stopwords, prompt_text):
+    """The formulation ``preprocess`` replaced: every token lemmatized, every
+    lemma checked against each exclusion set in turn."""
+    excluded = set(application_exclusions(kind))
+    if prompt_text:
+        excluded |= frozenset(lemmatize(tok) for tok in tokenize(prompt_text))
+    return [
+        lemma
+        for lemma in (lemmatize(tok) for tok in tokenize(text))
+        if lemma not in stopwords and lemma not in excluded
+    ]
+
+
+@given(
+    text=_phrase,
+    prompt=st.one_of(st.none(), _phrase),
+    kind=st.sampled_from(ApplicationKind),
+    table=st.dictionaries(
+        st.sampled_from(_WORDS).map(str.lower), st.sampled_from(_WORDS).map(str.lower)
+    ),
+    stopwords=st.one_of(
+        st.just(STOPWORDS), st.frozensets(st.sampled_from(_WORDS).map(str.lower))
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_preprocess_equals_the_per_token_formulation(text, prompt, kind, table, stopwords):
+    def lemmatize(token):  # pure: a fixed table over the rule lemmatizer
+        return table.get(token, rule_lemmatize(token))
+
+    assert preprocess(
+        text, kind, lemmatizer=lemmatize, stopwords=stopwords, prompt_text=prompt
+    ) == _per_token_preprocess(text, kind, lemmatize, stopwords, prompt)
