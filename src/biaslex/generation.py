@@ -10,13 +10,8 @@ Request bodies:
   repetition_penalty}``
 * translation: ``{prompt, num_beams, max_new_tokens}``
 
-The HTTP client is stdlib ``urllib.request`` with one connection per call
-(it sends ``Connection: close``). Proxy environment variables are honoured.
-301/302/303 are followed as ``urllib`` follows them; 307/308 on a POST are
-rejected like a 4xx. 429, 5xx, connection errors and timeouts are retried
-with exponential backoff; a 429 whose ``Retry-After`` is in delta-seconds
-waits that long instead. Any other 4xx, or a 2xx body without a string
-``text``, is a :class:`MalformedResponseError`.
+The HTTP client's policy (connections, proxies, redirects, retries) is
+set out in the README's HTTP-backend paragraph.
 """
 from __future__ import annotations
 
@@ -31,7 +26,7 @@ from http.client import HTTPException
 from pathlib import Path
 from typing import Sequence
 from urllib.error import HTTPError
-from urllib.request import Request, urlopen
+from urllib.request import HTTPRedirectHandler, Request, build_opener
 
 from .corpus import GenerationRecord
 from .identities import (
@@ -147,11 +142,27 @@ class StubBackend:
         return text
 
 
-def _retry_after(value: str | None, default: float) -> float:
+def _retry_after(value: str | None, default: float, cap: float) -> float:
     """Seconds to wait after a 429: its ``Retry-After`` when that is
-    delta-seconds (RFC 9110 section 10.2.3), ``default`` otherwise."""
+    delta-seconds (RFC 9110 section 10.2.3), at most ``cap``; ``default``
+    otherwise."""
     value = (value or "").strip()
-    return int(value) if value.isascii() and value.isdigit() else default
+    if value.isascii() and value.isdigit():
+        return min(int(value), cap)
+    return default
+
+
+class _RefuseRedirects(HTTPRedirectHandler):
+    """Follow no redirect: every 3xx surfaces as an ``HTTPError``. Following
+    one would turn the POST into a bodiless GET and could carry the bearer
+    token to another host."""
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
+
+
+# build_opener keeps the default ProxyHandler, so proxy variables are honoured
+_urlopen = build_opener(_RefuseRedirects).open
 
 
 def _response_text(body: bytes) -> str:
@@ -204,7 +215,7 @@ class HttpBackend:
         for attempt in range(self.max_retries + 1):
             delay = self.backoff * (2**attempt)
             try:
-                with urlopen(request, timeout=self.timeout) as response:
+                with _urlopen(request, timeout=self.timeout) as response:
                     body = response.read()
             except HTTPError as exc:
                 with exc:  # releases the error response's socket
@@ -212,7 +223,7 @@ class HttpBackend:
                     retry_after = exc.headers.get("Retry-After")
                 if status == 429:
                     last_error = BackendError("rate limited (429)")
-                    delay = _retry_after(retry_after, delay)
+                    delay = _retry_after(retry_after, delay, self.timeout)
                 elif status >= 500:
                     last_error = BackendError(f"server error {status}")
                 else:

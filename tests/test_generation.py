@@ -7,7 +7,6 @@ from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
 from urllib.error import HTTPError
-from urllib.request import urlopen
 
 import pytest
 
@@ -188,6 +187,7 @@ class _Handler(BaseHTTPRequestHandler):
     behaviour = "ok"
     script = []  # behaviours for the next requests, ahead of ``behaviour``
     seen = []
+    location = "/elsewhere"  # where a "redirect-<code>" points
     release = threading.Event()  # ends a "stall"
 
     def do_POST(self):
@@ -212,13 +212,17 @@ class _Handler(BaseHTTPRequestHandler):
         elif behaviour == "rejected":
             self.send_response(404)
             self.end_headers()
-        elif behaviour == "redirect":
-            self.send_response(307)
-            self.send_header("Location", "/elsewhere")
+        elif behaviour.startswith("redirect-"):
+            self.send_response(int(behaviour.removeprefix("redirect-")))
+            self.send_header("Location", type(self).location)
             self.end_headers()
         elif behaviour == "rate-limited":
             self.send_response(429)
             self.send_header("Retry-After", "7")
+            self.end_headers()
+        elif behaviour == "rate-limited-for-ages":
+            self.send_response(429)
+            self.send_header("Retry-After", "9" * 20)
             self.end_headers()
         elif behaviour == "rate-limited-until":
             self.send_response(429)
@@ -249,6 +253,7 @@ def http_server():
     _Handler.behaviour = "ok"
     _Handler.script = []
     _Handler.seen = []
+    _Handler.location = "/elsewhere"
     _Handler.release.clear()
     yield f"http://127.0.0.1:{server.server_port}"
     _Handler.release.set()
@@ -313,7 +318,10 @@ def test_http_backend_retries_then_gives_up(http_server):
     assert len(_Handler.seen) == 3  # initial try plus two retries
 
 
-@pytest.mark.parametrize("behaviour", ["rejected", "redirect"])
+@pytest.mark.parametrize(
+    "behaviour",
+    ["rejected", "redirect-301", "redirect-302", "redirect-303", "redirect-307"],
+)
 def test_http_backend_does_not_retry_a_rejection(http_server, behaviour):
     _Handler.behaviour = behaviour
     backend = HttpBackend(url=http_server, max_retries=3, backoff=0.0)
@@ -322,18 +330,21 @@ def test_http_backend_does_not_retry_a_rejection(http_server, behaviour):
     assert len(_Handler.seen) == 1
 
 
-@pytest.mark.parametrize("behaviour", ["error", "rate-limited", "rejected"])
+@pytest.mark.parametrize(
+    "behaviour", ["error", "rate-limited", "rejected", "redirect-302"]
+)
 def test_http_backend_closes_error_responses(http_server, monkeypatch, sleeps, behaviour):
     raised = []
+    opener = generation._urlopen
 
     def recording_urlopen(*args, **kwargs):
         try:
-            return urlopen(*args, **kwargs)
+            return opener(*args, **kwargs)
         except HTTPError as exc:
             raised.append(exc)
             raise
 
-    monkeypatch.setattr(generation, "urlopen", recording_urlopen)
+    monkeypatch.setattr(generation, "_urlopen", recording_urlopen)
     _Handler.behaviour = behaviour
     backend = HttpBackend(url=http_server, max_retries=1, backoff=0.0)
     with pytest.raises(BackendError):
@@ -371,6 +382,47 @@ def test_http_backend_gives_up_on_persistent_429(http_server, sleeps):
         backend.generate("x", GenerationConfig())
     assert len(_Handler.seen) == 3
     assert sleeps == [7, 7]
+
+
+def test_http_backend_caps_retry_after_at_the_timeout(http_server, sleeps):
+    _Handler.script = ["rate-limited-for-ages", "rate-limited"]
+    backend = HttpBackend(url=http_server, timeout=3.0, max_retries=2, backoff=0.5)
+    assert backend.generate("x", GenerationConfig()) == "echo: x"
+    assert sleeps == [3.0, 3.0]
+
+
+def test_http_backend_does_not_follow_a_redirect_elsewhere(http_server, monkeypatch):
+    class _Elsewhere(BaseHTTPRequestHandler):
+        seen = []
+
+        def do_GET(self):
+            type(self).seen.append(self.headers.get("Authorization"))
+            self.send_response(200)
+            self.end_headers()
+            self.wfile.write(json.dumps({"text": "from elsewhere"}).encode())
+
+        do_POST = do_GET
+
+        def log_message(self, *args):
+            pass
+
+    elsewhere = _Server(("127.0.0.1", 0), _Elsewhere)
+    thread = threading.Thread(target=elsewhere.serve_forever, daemon=True)
+    thread.start()
+    try:
+        _Handler.behaviour = "redirect-302"
+        _Handler.location = f"http://127.0.0.1:{elsewhere.server_port}/steal"
+        monkeypatch.setenv("TEST_API_TOKEN", "sekret")
+        backend = HttpBackend(
+            url=http_server, auth_env="TEST_API_TOKEN", max_retries=2, backoff=0.0
+        )
+        with pytest.raises(MalformedResponseError, match="302"):
+            backend.generate("x", GenerationConfig())
+    finally:
+        elsewhere.shutdown()
+        elsewhere.server_close()
+    assert [seen["auth"] for seen in _Handler.seen] == ["Bearer sekret"]
+    assert _Elsewhere.seen == []
 
 
 def test_http_backend_backs_off_when_retry_after_is_a_date(http_server, sleeps):
