@@ -12,6 +12,7 @@ from pathlib import Path
 from statistics import fmean
 from typing import Iterable, Sequence
 
+from .artifacts import atomic_open
 from .identities import (
     ApplicationKind,
     Children,
@@ -188,7 +189,7 @@ def axis_value_of(result: AverageResult) -> str:
 
 def write_averages_csv(results: Iterable[AverageResult], path: str | Path) -> int:
     count = 0
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_open(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["axis_value", "family", "method", "application", "mean", "n"])
         for result in results:

@@ -15,6 +15,7 @@ from . import corpus as corpus_mod
 from . import generation as gen
 from . import report as report_mod
 from . import scoring
+from .artifacts import atomic_open, write_jsonl
 from .identities import ApplicationKind, Language, PromptMethod
 from .lexicon import (
     LexiconError,
@@ -97,8 +98,7 @@ def cmd_prompts_emit(args: argparse.Namespace) -> int:
             if record.method is PromptMethod.ORIGINAL and record.language is language:
                 originals[(record.identity, record.application)] = record.raw_output
 
-    count = 0
-    with open(args.out, "w", encoding="utf-8") as handle:
+    def records():
         for identity, app, prompt in iter_prompt_matrix(language):
             for method in methods:
                 if method is PromptMethod.ORIGINAL:
@@ -110,9 +110,9 @@ def cmd_prompts_emit(args: argparse.Namespace) -> int:
                             f"no original output for {identity} / {app.kind.value}"
                         )
                     text = render_debias_prompt(method, source)
-                record = prompt_record(identity, app, language, method, text)
-                handle.write(json.dumps(record, ensure_ascii=False) + "\n")
-                count += 1
+                yield prompt_record(identity, app, language, method, text)
+
+    count = write_jsonl(args.out, records())
     if not args.quiet:
         print(f"wrote {count} prompts to {args.out}")
     return EXIT_OK
@@ -213,7 +213,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         PromptMethod(args.method),
     )
     rendered = report_mod.render_table(table, report_mod.ReportFormat(args.format))
-    Path(args.out).write_text(rendered, encoding="utf-8")
+    with atomic_open(args.out) as handle:
+        handle.write(rendered)
     if not args.quiet:
         print(f"wrote report to {args.out}")
     return EXIT_OK

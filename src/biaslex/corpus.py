@@ -7,13 +7,13 @@ own corpus so document frequencies never mix prompting methods.
 """
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from pathlib import Path
 from typing import Callable, Iterable
 
+from .artifacts import read_jsonl, write_json, write_jsonl
 from .identities import (
     Application,
     ApplicationKind,
@@ -35,6 +35,11 @@ LanguageDetector = Callable[[str], str]
 APPLICATION_KIND_ORDER = {kind: i for i, kind in enumerate(ApplicationKind)}
 METHOD_ORDER = {method: i for i, method in enumerate(PromptMethod)}
 LANGUAGE_ORDER = {language: i for i, language in enumerate(Language)}
+
+
+def corpus_order(pair: tuple[Language, PromptMethod]) -> tuple[int, int]:
+    """Sort key of a (language, method) corpus: canonical language, then method."""
+    return LANGUAGE_ORDER[pair[0]], METHOD_ORDER[pair[1]]
 
 
 def stub_english_detector(text: str) -> str:
@@ -89,23 +94,11 @@ class GenerationRecord:
 
 
 def write_records(records: Iterable[GenerationRecord], path: str | Path) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(json.dumps(record.to_json_dict(), ensure_ascii=False))
-            handle.write("\n")
-            count += 1
-    return count
+    return write_jsonl(path, (record.to_json_dict() for record in records))
 
 
 def read_records(path: str | Path) -> list[GenerationRecord]:
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(GenerationRecord.from_json_dict(json.loads(line)))
-    return records
+    return [GenerationRecord.from_json_dict(row) for row in read_jsonl(path)]
 
 
 @dataclass(frozen=True)
@@ -342,24 +335,17 @@ def write_corpus_dir(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for (language, method) in sorted(
-        corpora, key=lambda lm: (LANGUAGE_ORDER[lm[0]], METHOD_ORDER[lm[1]])
-    ):
+    for (language, method) in sorted(corpora, key=corpus_order):
         corpus = corpora[(language, method)]
         path = out / corpus_filename(language, method)
-        with open(path, "w", encoding="utf-8") as handle:
-            for doc in corpus:
-                row = doc.key.to_json_dict()
-                row["tokens"] = list(doc.tokens)
-                handle.write(json.dumps(row, ensure_ascii=False))
-                handle.write("\n")
+        write_jsonl(
+            path,
+            ({**doc.key.to_json_dict(), "tokens": list(doc.tokens)} for doc in corpus),
+        )
         written.append(path)
     if summary is not None:
         summary_path = out / "cleaning_summary.json"
-        summary_path.write_text(
-            json.dumps(summary.to_json_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_json(summary_path, summary.to_json_dict())
         written.append(summary_path)
     return written
 
@@ -367,20 +353,13 @@ def write_corpus_dir(
 def read_corpus_file(path: str | Path) -> Corpus:
     documents = []
     language = method = None
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            key = DocumentKey.from_json_dict(row)
-            if language is None:
-                language, method = key.language, key.method
-            elif (key.language, key.method) != (language, method):
-                raise ValueError(
-                    f"corpus file {path} mixes (language, method) pairs"
-                )
-            documents.append(Document(key=key, tokens=tuple(row["tokens"])))
+    for row in read_jsonl(path):
+        key = DocumentKey.from_json_dict(row)
+        if language is None:
+            language, method = key.language, key.method
+        elif (key.language, key.method) != (language, method):
+            raise ValueError(f"corpus file {path} mixes (language, method) pairs")
+        documents.append(Document(key=key, tokens=tuple(row["tokens"])))
     if language is None:
         raise ValueError(f"corpus file {path} holds no documents")
     return Corpus(language, method, documents)

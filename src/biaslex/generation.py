@@ -28,6 +28,7 @@ from typing import Sequence
 from urllib.error import HTTPError
 from urllib.request import HTTPRedirectHandler, Request, build_opener
 
+from .artifacts import jsonl_line
 from .corpus import GenerationRecord
 from .identities import (
     Application,
@@ -252,14 +253,6 @@ class HttpBackend:
 Backend = StubBackend | HttpBackend
 
 
-def generate(prompt: str, config: GenerationConfig, backend: Backend) -> str:
-    return backend.generate(prompt, config)
-
-
-def translate(text: str, config: TranslationConfig, backend: Backend) -> str:
-    return backend.translate(text, config)
-
-
 def record_id_for(
     language: Language,
     method: PromptMethod,
@@ -359,8 +352,7 @@ class RecordSink:
     def append(self, record: GenerationRecord) -> None:
         if self._handle is None:
             self._handle = open(self.path, "a", encoding="utf-8")
-        line = json.dumps(record.to_json_dict(), ensure_ascii=False) + "\n"
-        self._handle.write(line)
+        self._handle.write(jsonl_line(record.to_json_dict()))
         self._handle.flush()
         self._index(record)
 

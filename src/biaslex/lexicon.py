@@ -19,8 +19,9 @@ import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
+from .artifacts import atomic_open
 from .identities import Children, Gender, Identity, MaritalStatus, Religion
 
 SynonymProvider = Callable[[str], Iterable[str]]
@@ -256,7 +257,7 @@ def _selector_field_to_csv(values: frozenset | None, order: type[enum.Enum]) -> 
 
 
 def save_lexicon(lexicon: BiasLexicon, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with atomic_open(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(LEXICON_HEADER)
         for entry in lexicon:
@@ -342,6 +343,18 @@ def expand_lexicon(
     return BiasLexicon(entries)
 
 
+def _table_rows(path: str | Path, header: list[str], what: str) -> Iterator[list[str]]:
+    """The rows of a CSV table after its header, skipping blank ones."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        found = next(reader, None)
+        if found != header:
+            raise ParseError(f"unexpected {what} table header {found!r}")
+        for row in reader:
+            if row and row[0].strip():
+                yield row
+
+
 @dataclass
 class TableSynonymProvider:
     """Synonym candidates read from a CSV table (``lemma,synonyms`` header,
@@ -352,19 +365,11 @@ class TableSynonymProvider:
     @classmethod
     def from_csv(cls, path: str | Path) -> "TableSynonymProvider":
         table: dict[str, tuple[str, ...]] = {}
-        with open(path, encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != ["lemma", "synonyms"]:
-                raise ParseError(f"unexpected synonym table header {header!r}")
-            for row in reader:
-                if not row or not row[0].strip():
-                    continue
-                lemma = _normalize_lemma(row[0])
-                raw = row[1] if len(row) > 1 else ""
-                table[lemma] = tuple(
-                    t.strip() for t in raw.split("|") if t.strip()
-                )
+        for row in _table_rows(path, ["lemma", "synonyms"], "synonym"):
+            raw = row[1] if len(row) > 1 else ""
+            table[_normalize_lemma(row[0])] = tuple(
+                t.strip() for t in raw.split("|") if t.strip()
+            )
         return cls(table)
 
     def __call__(self, lemma: str) -> tuple[str, ...]:
@@ -383,22 +388,14 @@ class TableSimilarityOracle:
     @classmethod
     def from_csv(cls, path: str | Path) -> "TableSimilarityOracle":
         table: dict[tuple[str, str], float] = {}
-        with open(path, encoding="utf-8", newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header != ["a", "b", "score"]:
-                raise ParseError(f"unexpected similarity table header {header!r}")
-            for row in reader:
-                if not row or not row[0].strip():
-                    continue
-                if len(row) != 3:
-                    raise ParseError(f"bad similarity row {row!r}")
-                a, b = _normalize_lemma(row[0]), _normalize_lemma(row[1])
-                try:
-                    score = float(row[2])
-                except ValueError:
-                    raise ParseError(f"bad similarity score {row[2]!r}") from None
-                table[(a, b)] = score
+        for row in _table_rows(path, ["a", "b", "score"], "similarity"):
+            if len(row) != 3:
+                raise ParseError(f"bad similarity row {row!r}")
+            a, b = _normalize_lemma(row[0]), _normalize_lemma(row[1])
+            try:
+                table[(a, b)] = float(row[2])
+            except ValueError:
+                raise ParseError(f"bad similarity score {row[2]!r}") from None
         return cls(table)
 
     def __call__(self, a: str, b: str) -> float:

@@ -14,6 +14,7 @@ from . import corpus as corpus_mod
 from . import generation as gen
 from . import report as report_mod
 from . import scoring
+from .artifacts import atomic_open, write_json
 from .identities import ApplicationKind, Language, PromptMethod
 from .lexicon import BiasLexicon, load_lexicon, load_seed_lexicon
 from .preprocess import load_stopwords
@@ -44,7 +45,6 @@ _BACKEND_KEYS = {
 }
 _GENERATION_KEYS = {f.name for f in fields(gen.GenerationConfig)}
 _TRANSLATION_KEYS = {f.name for f in fields(gen.TranslationConfig)}
-_EXPANSION_KEYS = {"threshold", "synonyms", "similarity"}
 _TOP_LEVEL_KEYS = {
     "out_dir",
     "languages",
@@ -58,7 +58,6 @@ _TOP_LEVEL_KEYS = {
     "lexicon",
     "stopwords",
     "detector",
-    "expansion",
 }
 
 
@@ -119,6 +118,11 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     """Build a :class:`RunConfig` from parsed JSON, rejecting unknown keys."""
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
+    if "expansion" in data:
+        raise ConfigError(
+            "unknown config key 'expansion': run `biaslex lexicon expand` "
+            "and point 'lexicon' at its output"
+        )
     _reject_unknown(data, _TOP_LEVEL_KEYS, "config")
     base = base_dir or Path.cwd()
 
@@ -131,14 +135,6 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     _reject_unknown(generation_data, _GENERATION_KEYS, "generation")
     translation_data = data.get("translation", {})
     _reject_unknown(translation_data, _TRANSLATION_KEYS, "translation")
-
-    expansion = data.get("expansion", {})
-    if not isinstance(expansion, dict):
-        raise ConfigError("'expansion' must be an object")
-    _reject_unknown(expansion, _EXPANSION_KEYS, "expansion")
-    threshold = expansion.get("threshold", 0.5)
-    if not isinstance(threshold, (int, float)) or not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"expansion threshold must be in [0, 1], got {threshold}")
 
     try:
         languages = [Language(l) for l in data.get("languages", ["hindi"])]
@@ -196,13 +192,6 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config(data, base_dir=path.parent)
 
 
-def _write_json(path: Path, data: dict) -> None:
-    path.write_text(
-        json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
-
-
 def generate_stage(config: RunConfig, out: Path) -> dict:
     """Generate the grid into ``out/records.jsonl`` and write ``run_summary.json``.
 
@@ -221,7 +210,7 @@ def generate_stage(config: RunConfig, out: Path) -> dict:
         trans_config=config.translation,
         concurrency=config.concurrency,
     ).to_json_dict()
-    _write_json(out / "run_summary.json", run_summary)
+    write_json(out / "run_summary.json", run_summary)
     counts = run_summary["counts"]
     generated = sum(c["generated"] for c in counts.values())
     failed = sum(c["failed"] for c in counts.values())
@@ -263,13 +252,7 @@ def score_stage(
     """
     cells: list[scoring.ScoreCell] = []
     overall_rows = []
-    for key in sorted(
-        corpora,
-        key=lambda lm: (
-            corpus_mod.LANGUAGE_ORDER[lm[0]],
-            corpus_mod.METHOD_ORDER[lm[1]],
-        ),
-    ):
+    for key in sorted(corpora, key=corpus_mod.corpus_order):
         cells.extend(scoring.score_corpus(corpora[key], lexicon, scope))
         overall_rows.extend(scoring.overall_top_terms(corpora[key]))
     return cells, overall_rows
@@ -351,13 +334,12 @@ def pipeline_run(config: RunConfig, seed_override: int | None = None) -> dict:
                             f"_{method.value}.{fmt.value}"
                         )
                         path = reports_dir / name
-                        path.write_text(
-                            report_mod.render_table(table, fmt), encoding="utf-8"
-                        )
+                        with atomic_open(path) as handle:
+                            handle.write(report_mod.render_table(table, fmt))
                         report_files.append(rel(path))
         summary["stages"][stage] = {"files": report_files}
     except Exception as exc:
         raise StageError(stage, exc) from exc
 
-    _write_json(out / "pipeline_summary.json", {**summary, "out_dir": "."})
+    write_json(out / "pipeline_summary.json", {**summary, "out_dir": "."})
     return summary

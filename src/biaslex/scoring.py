@@ -16,12 +16,12 @@ used to surface frequent terms outside the lexicon.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from .artifacts import read_jsonl, write_jsonl
 from .corpus import Corpus, Document, DocumentKey
 from .identities import Identity
 from .lexicon import BiasLexicon
@@ -191,53 +191,35 @@ def overall_top_terms(
 
 
 def write_scores(cells: Iterable[ScoreCell], path: str | Path) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        for cell in cells:
-            handle.write(json.dumps(cell.to_json_dict(), ensure_ascii=False))
-            handle.write("\n")
-            count += 1
-    return count
+    return write_jsonl(path, (cell.to_json_dict() for cell in cells))
 
 
 def read_scores(path: str | Path) -> list[ScoreCell]:
-    cells = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                cells.append(ScoreCell.from_json_dict(json.loads(line)))
-    return cells
+    return [ScoreCell.from_json_dict(row) for row in read_jsonl(path)]
 
 
 def write_overall_terms(
     rows: Iterable[tuple[DocumentKey, tuple[str, float] | None]],
     path: str | Path,
 ) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        for key, top in rows:
-            row = key.to_json_dict()
-            row["family"] = key.language.family.value
-            row["top_term"] = list(top) if top else None
-            handle.write(json.dumps(row, ensure_ascii=False))
-            handle.write("\n")
-            count += 1
-    return count
+    return write_jsonl(
+        path,
+        (
+            {
+                **key.to_json_dict(),
+                "family": key.language.family.value,
+                "top_term": list(top) if top else None,
+            }
+            for key, top in rows
+        ),
+    )
 
 
 def read_overall_terms(
     path: str | Path,
 ) -> list[tuple[DocumentKey, tuple[str, float] | None]]:
     rows = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            top = data.get("top_term")
-            rows.append(
-                (DocumentKey.from_json_dict(data), (top[0], top[1]) if top else None)
-            )
+    for data in read_jsonl(path):
+        top = data.get("top_term")
+        rows.append((DocumentKey.from_json_dict(data), tuple(top) if top else None))
     return rows

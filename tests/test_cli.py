@@ -114,6 +114,19 @@ def test_prompts_emit_debias_needs_source(tmp_path):
     assert code == 1
 
 
+def test_prompts_emit_leaves_no_partial_file(tmp_path):
+    # the originals are written before the first debias prompt finds none
+    source = tmp_path / "empty.jsonl"
+    source.write_text("")
+    out = tmp_path / "x.jsonl"
+    code = run_cli(
+        "prompts", "emit", "--language", "hindi", "--methods", "original,simple",
+        "--source-records", str(source), "--out", str(out),
+    )
+    assert code == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.jsonl"]
+
+
 def test_prompts_emit_debias_with_source(stub_run, tmp_path):
     _, _, gen_out = stub_run
     out = tmp_path / "debias_prompts.jsonl"
@@ -258,6 +271,23 @@ def test_pipeline_rejects_bad_threshold(tmp_path):
         )
     )
     assert run_cli("pipeline", "--config", str(config)) == 1
+
+
+def test_pipeline_rejects_the_expansion_block(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps(
+            {
+                "out_dir": str(tmp_path / "run"),
+                "expansion": {
+                    "threshold": 0.5, "synonyms": "s.csv", "similarity": "x.csv"
+                },
+            }
+        )
+    )
+    assert run_cli("pipeline", "--config", str(config)) == 1
+    assert "lexicon expand" in json.loads(capsys.readouterr().err)["message"]
+    assert not (tmp_path / "run").exists()
 
 
 def test_pipeline_rejects_unknown_key(tmp_path):

@@ -23,10 +23,8 @@ from biaslex.generation import (
     RecordSink,
     StubBackend,
     TranslationConfig,
-    generate,
     record_id_for,
     run_matrix,
-    translate,
 )
 from biaslex.identities import (
     Application,
@@ -76,18 +74,18 @@ def test_translation_config_rejects_invalid():
 def test_stub_is_deterministic():
     backend = StubBackend(seed=5)
     config = GenerationConfig()
-    first = generate("a prompt", config, backend)
-    second = generate("a prompt", config, backend)
+    first = backend.generate("a prompt", config)
+    second = backend.generate("a prompt", config)
     assert first == second
-    assert first != generate("another prompt", config, backend)
-    assert first != generate("a prompt", config, StubBackend(seed=6))
+    assert first != backend.generate("another prompt", config)
+    assert first != StubBackend(seed=6).generate("a prompt", config)
 
 
 def test_stub_translation_is_identity():
     backend = StubBackend()
     config = TranslationConfig()
-    assert translate("hello", config, backend) == "hello"
-    assert translate("", config, backend) == ""
+    assert backend.translate("hello", config) == "hello"
+    assert backend.translate("", config) == ""
 
 
 def test_run_matrix_original_count(tmp_path):

@@ -70,6 +70,13 @@ def test_parse_config_rejects_bad_values(data, tmp_path):
         parse_config(data, base_dir=tmp_path)
 
 
+def test_parse_config_rejects_a_well_formed_expansion_block(tmp_path):
+    # the block was validated but never applied; `lexicon expand` does the job
+    expansion = {"threshold": 0.5, "synonyms": "s.csv", "similarity": "x.csv"}
+    with pytest.raises(ConfigError, match="biaslex lexicon expand"):
+        parse_config({"out_dir": "r", "expansion": expansion}, base_dir=tmp_path)
+
+
 def test_load_config_rejects_bad_json(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("{not json")
