@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import aggregate as agg
@@ -157,7 +158,7 @@ def cmd_generate_run(args: argparse.Namespace) -> int:
     if args.methods:
         config.methods = _parse_methods(args.methods)
     if args.seed is not None:
-        config = config.with_seed(args.seed)
+        config = replace(config, seed=args.seed)
     counts = generate_stage(config, Path(args.out))
     if not args.quiet:
         print(json.dumps(counts, indent=2, sort_keys=True))

@@ -21,7 +21,7 @@ import os
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from http.client import HTTPException
 from pathlib import Path
 from typing import Sequence
@@ -82,9 +82,6 @@ class GenerationConfig:
         if self.repetition_penalty < 1:
             raise ValueError("repetition_penalty must be >= 1")
 
-    def to_request_fields(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class TranslationConfig:
@@ -96,9 +93,6 @@ class TranslationConfig:
             raise ValueError("num_beams must be >= 1")
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
-
-    def to_request_fields(self) -> dict:
-        return asdict(self)
 
 
 # Mix of everyday vocabulary and identity-linked terms so stub corpora
@@ -242,12 +236,10 @@ class HttpBackend:
         )
 
     def generate(self, prompt: str, config: GenerationConfig) -> str:
-        return self._post(self.url, {"prompt": prompt, **config.to_request_fields()})
+        return self._post(self.url, {"prompt": prompt, **asdict(config)})
 
     def translate(self, text: str, config: TranslationConfig) -> str:
-        return self._post(
-            self.translate_url, {"prompt": text, **config.to_request_fields()}
-        )
+        return self._post(self.translate_url, {"prompt": text, **asdict(config)})
 
 
 Backend = StubBackend | HttpBackend
@@ -296,7 +288,8 @@ class RecordSink:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._ids: set[str] = set()
-        self._originals: dict[str, GenerationRecord] = {}
+        self._originals: dict[str, str] = {}  # original record id -> raw output
+        self._original_languages: set[Language] = set()
         self._handle = None
         self.dropped_tail: dict[str, int] | None = None
         if self.path.exists():
@@ -336,18 +329,18 @@ class RecordSink:
     def _index(self, record: GenerationRecord) -> None:
         self._ids.add(record.record_id)
         if record.method is PromptMethod.ORIGINAL:
-            self._originals[record.record_id] = record
+            self._originals[record.record_id] = record.raw_output
+            self._original_languages.add(record.language)
 
     def __contains__(self, record_id: str) -> bool:
         return record_id in self._ids
 
-    def original(self, record_id: str) -> GenerationRecord | None:
+    def original(self, record_id: str) -> str | None:
+        """The raw output of the stored original ``record_id``, if any."""
         return self._originals.get(record_id)
 
     def has_originals(self, language: Language) -> bool:
-        return any(
-            r.language is language for r in self._originals.values()
-        )
+        return language in self._original_languages
 
     def append(self, record: GenerationRecord) -> None:
         if self._handle is None:
@@ -387,17 +380,6 @@ class RunSummary:
         return data
 
 
-def _generate_cell(
-    backend: Backend,
-    prompt: str,
-    gen_config: GenerationConfig,
-    trans_config: TranslationConfig,
-) -> tuple[str, str]:
-    raw = backend.generate(prompt, gen_config)
-    english = backend.translate(raw, trans_config)
-    return raw, english
-
-
 def run_matrix(
     languages: Sequence[Language],
     methods: Sequence[PromptMethod],
@@ -412,14 +394,21 @@ def run_matrix(
     Already-persisted records are skipped, so an interrupted run resumes
     from where it stopped. Per-cell failures are recorded and the run
     continues; requesting a debias method with no originals available for
-    a language raises :class:`PrerequisiteMissingError`. The sink is closed
-    when the run ends.
+    a language raises :class:`PrerequisiteMissingError`. When the run ends,
+    the sink is closed and calls not yet started are cancelled, so an
+    interrupt or an error waits only for the calls already running.
     """
     gen_config = gen_config or GenerationConfig()
     trans_config = trans_config or TranslationConfig()
     summary = RunSummary(dropped_tail=sink.dropped_tail)
     ordered_methods = [m for m in PromptMethod if m in set(methods)]
 
+    def generate(cell: GenerationRecord) -> GenerationRecord:
+        raw = backend.generate(cell.prompt_text, gen_config)
+        english = backend.translate(raw, trans_config)
+        return replace(cell, raw_output=raw, english_text=english)
+
+    pool = ThreadPoolExecutor(max_workers=max(1, concurrency))
     try:
         for language in languages:
             for method in ordered_methods:
@@ -428,13 +417,25 @@ def run_matrix(
                         f"no original generations for {language.value}; "
                         f"cannot run {method.value} debiasing"
                     )
+                counts = summary._cell(language, method)
                 cells = _phase_cells(language, method, sink, summary)
-                _run_phase(
-                    cells, backend, sink, summary, gen_config, trans_config,
-                    concurrency,
-                )
+                # requests may run concurrently; results are persisted in cell
+                # order so re-runs produce byte-identical files
+                futures = [pool.submit(generate, cell) for cell in cells]
+                for cell, future in zip(cells, futures):
+                    try:
+                        record = future.result()
+                    except Exception as exc:
+                        counts["failed"] += 1
+                        summary.failures.append(
+                            {"record_id": cell.record_id, "error": str(exc)}
+                        )
+                        continue
+                    sink.append(record)
+                    counts["generated"] += 1
     finally:
         sink.close()
+        pool.shutdown(cancel_futures=True)
     return summary
 
 
@@ -443,8 +444,9 @@ def _phase_cells(
     method: PromptMethod,
     sink: RecordSink,
     summary: RunSummary,
-) -> list[tuple[str, Language, PromptMethod, Identity, Application, str]]:
-    """Resolve the prompt for every cell of one (language, method) phase."""
+) -> list[GenerationRecord]:
+    """The cells of one (language, method) phase still to generate: records
+    with their prompt and no output yet."""
     cells = []
     counts = summary._cell(language, method)
     for identity in enumerate_identities():
@@ -457,11 +459,10 @@ def _phase_cells(
             if method is PromptMethod.ORIGINAL:
                 prompt = render_application_prompt(identity, app, language)
             else:
-                original_id = record_id_for(
-                    language, PromptMethod.ORIGINAL, identity, app
+                original = sink.original(
+                    record_id_for(language, PromptMethod.ORIGINAL, identity, app)
                 )
-                original = sink.original(original_id)
-                if original is None or not original.raw_output:
+                if not original:
                     # nothing to debias; render_debias_prompt would refuse it
                     counts["failed"] += 1
                     problem = "missing" if original is None else "empty"
@@ -469,49 +470,8 @@ def _phase_cells(
                         {"record_id": rid, "error": f"original output {problem}"}
                     )
                     continue
-                prompt = render_debias_prompt(method, original.raw_output)
-            cells.append((rid, language, method, identity, app, prompt))
-    return cells
-
-
-def _run_phase(
-    cells: list[tuple[str, Language, PromptMethod, Identity, Application, str]],
-    backend: Backend,
-    sink: RecordSink,
-    summary: RunSummary,
-    gen_config: GenerationConfig,
-    trans_config: TranslationConfig,
-    concurrency: int,
-) -> None:
-    if not cells:
-        return
-    # requests may run concurrently; results are persisted in cell order so
-    # re-runs produce byte-identical files
-    with ThreadPoolExecutor(max_workers=max(1, concurrency)) as pool:
-        futures = [
-            pool.submit(_generate_cell, backend, prompt, gen_config, trans_config)
-            for (_, _, _, _, _, prompt) in cells
-        ]
-        for (rid, language, method, identity, app, prompt), future in zip(
-            cells, futures
-        ):
-            counts = summary._cell(language, method)
-            try:
-                raw, english = future.result()
-            except Exception as exc:
-                counts["failed"] += 1
-                summary.failures.append({"record_id": rid, "error": str(exc)})
-                continue
-            sink.append(
-                GenerationRecord(
-                    record_id=rid,
-                    language=language,
-                    method=method,
-                    identity=identity,
-                    application=app,
-                    prompt_text=prompt,
-                    raw_output=raw,
-                    english_text=english,
-                )
+                prompt = render_debias_prompt(method, original)
+            cells.append(
+                GenerationRecord(rid, language, method, identity, app, prompt, "", "")
             )
-            counts["generated"] += 1
+    return cells

@@ -6,6 +6,7 @@ re-checked or re-run in isolation; nothing is held only in memory.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -41,7 +42,6 @@ _BACKEND_KEYS = {
     "timeout",
     "max_retries",
     "backoff",
-    "seed",
 }
 _GENERATION_KEYS = {f.name for f in fields(gen.GenerationConfig)}
 _TRANSLATION_KEYS = {f.name for f in fields(gen.TranslationConfig)}
@@ -67,6 +67,50 @@ def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
 
 
+def _block(data: dict, key: str, allowed: set[str]) -> dict:
+    """The object under ``key`` (empty when absent), refusing unknown keys."""
+    block = data.get(key, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"{key!r} must be an object")
+    _reject_unknown(block, allowed, key)
+    return block
+
+
+def _check_backend(backend: dict) -> None:
+    """Refuse a backend block that cannot make a working backend; the http
+    defaults are :class:`~biaslex.generation.HttpBackend`'s."""
+    if not isinstance(backend, dict):
+        raise ConfigError("'backend' must be an object")
+    _reject_unknown(backend, _BACKEND_KEYS, "backend")
+    kind = backend.get("kind", "stub")
+    if kind not in ("stub", "http"):
+        raise ConfigError(f"unknown backend kind {kind!r}")
+    if kind == "http" and not isinstance(backend.get("url"), str):
+        raise ConfigError("http backend requires a 'url' string")
+    for key in ("translate_url", "auth_env"):
+        if backend.get(key) is not None and not isinstance(backend[key], str):
+            raise ConfigError(f"backend {key!r} must be a string")
+
+    expected = {
+        "timeout": "positive number",
+        "backoff": "non-negative number",
+        "max_retries": "non-negative integer",
+    }
+    for key, what in expected.items():
+        if key not in backend:
+            continue  # HttpBackend's default
+        value = backend[key]
+        types = int if key == "max_retries" else (int, float)
+        valid = (
+            isinstance(value, types)
+            and not isinstance(value, bool)
+            and 0 <= value < math.inf
+            and (value > 0 or key != "timeout")
+        )
+        if not valid:
+            raise ConfigError(f"backend {key!r} must be a {what}, got {value!r}")
+
+
 @dataclass
 class RunConfig:
     """Validated settings for a pipeline run."""
@@ -84,29 +128,14 @@ class RunConfig:
     stopwords_path: Path | None = None
     detector: str = "stub"
 
-    def with_seed(self, seed: int) -> RunConfig:
-        """A copy run with ``seed``; a stub backend's seed follows it."""
-        backend = self.backend
-        if backend.get("kind", "stub") == "stub":
-            backend = {**backend, "seed": seed}
-        return replace(self, seed=seed, backend=backend)
+    def __post_init__(self) -> None:
+        _check_backend(self.backend)
 
     def make_backend(self) -> gen.Backend:
-        kind = self.backend.get("kind", "stub")
-        if kind == "stub":
-            return gen.StubBackend(seed=int(self.backend.get("seed", self.seed)))
-        if kind == "http":
-            if "url" not in self.backend:
-                raise ConfigError("http backend requires a 'url'")
-            return gen.HttpBackend(
-                url=self.backend["url"],
-                translate_url=self.backend.get("translate_url"),
-                auth_env=self.backend.get("auth_env"),
-                timeout=float(self.backend.get("timeout", 30.0)),
-                max_retries=int(self.backend.get("max_retries", 3)),
-                backoff=float(self.backend.get("backoff", 0.5)),
-            )
-        raise ConfigError(f"unknown backend kind {kind!r}")
+        options = dict(self.backend)
+        if options.pop("kind", "stub") == "stub":
+            return gen.StubBackend(seed=self.seed)
+        return gen.HttpBackend(**options)
 
     def load_lexicon(self) -> BiasLexicon:
         if self.lexicon_path is None:
@@ -126,15 +155,8 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     _reject_unknown(data, _TOP_LEVEL_KEYS, "config")
     base = base_dir or Path.cwd()
 
-    backend = data.get("backend", {"kind": "stub"})
-    if not isinstance(backend, dict):
-        raise ConfigError("'backend' must be an object")
-    _reject_unknown(backend, _BACKEND_KEYS, "backend")
-
-    generation_data = data.get("generation", {})
-    _reject_unknown(generation_data, _GENERATION_KEYS, "generation")
-    translation_data = data.get("translation", {})
-    _reject_unknown(translation_data, _TRANSLATION_KEYS, "translation")
+    generation_data = _block(data, "generation", _GENERATION_KEYS)
+    translation_data = _block(data, "translation", _TRANSLATION_KEYS)
 
     try:
         languages = [Language(l) for l in data.get("languages", ["hindi"])]
@@ -142,7 +164,8 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         scope = scoring.Scope(data.get("scope", "identity"))
         generation_config = gen.GenerationConfig(**generation_data)
         translation_config = gen.TranslationConfig(**translation_data)
-    except ValueError as exc:
+        seed = int(data.get("seed", 0))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
     detector = data.get("detector", "stub")
@@ -150,29 +173,27 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         raise ConfigError(f"detector must be 'stub' or 'none', got {detector!r}")
 
     concurrency = data.get("concurrency", 1)
-    if not isinstance(concurrency, int) or concurrency < 1:
+    if type(concurrency) is not int or concurrency < 1:  # bool is an int subclass
         raise ConfigError("concurrency must be a positive integer")
 
-    if "out_dir" not in data:
+    if data.get("out_dir") is None:
         raise ConfigError("config requires 'out_dir'")
 
     def _path(key: str) -> Path | None:
         value = data.get(key)
         if value is None:
             return None
+        if not isinstance(value, str):
+            raise ConfigError(f"{key!r} must be a path string")
         path = Path(value)
         return path if path.is_absolute() else base / path
 
-    out_dir = Path(data["out_dir"])
-    if not out_dir.is_absolute():
-        out_dir = base / out_dir
-
     return RunConfig(
-        out_dir=out_dir,
+        out_dir=_path("out_dir"),
         languages=languages,
         methods=methods,
-        seed=int(data.get("seed", 0)),
-        backend=backend,
+        seed=seed,
+        backend=data.get("backend", {"kind": "stub"}),
         generation=generation_config,
         translation=translation_config,
         concurrency=concurrency,
@@ -265,7 +286,7 @@ def pipeline_run(config: RunConfig, seed_override: int | None = None) -> dict:
     caller's ``config`` is never modified.
     """
     if seed_override is not None:
-        config = config.with_seed(seed_override)
+        config = replace(config, seed=seed_override)
     out = config.out_dir
 
     def rel(path: Path) -> str:

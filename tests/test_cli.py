@@ -22,7 +22,7 @@ def stub_run(tmp_path_factory):
                 "out_dir": str(root / "unused"),
                 "languages": ["hindi"],
                 "methods": ["original", "simple", "complex"],
-                "backend": {"kind": "stub", "seed": 11},
+                "seed": 11,
             }
         )
     )
@@ -248,7 +248,7 @@ def test_pipeline_cli(tmp_path):
                 "out_dir": str(tmp_path / "run"),
                 "languages": ["hindi"],
                 "methods": ["original"],
-                "backend": {"kind": "stub", "seed": 3},
+                "seed": 3,
             }
         )
     )
@@ -296,6 +296,64 @@ def test_pipeline_rejects_unknown_key(tmp_path):
     assert run_cli("pipeline", "--config", str(config)) == 1
 
 
+_LOCAL_HTTP = {"kind": "http", "url": "http://127.0.0.1:9"}
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"backend": {"kind": "http"}},
+        {"backend": {"kind": "foo"}},
+        {"backend": {**_LOCAL_HTTP, "timeout": "abc"}},
+        {"backend": {**_LOCAL_HTTP, "timeout": -1}},
+        {"backend": {**_LOCAL_HTTP, "max_retries": -1}},
+        {"backend": {**_LOCAL_HTTP, "backoff": -0.5}},
+        {"backend": {"kind": "stub", "seed": 3}},
+        {"generation": {"temperature": "hot"}},
+        {"generation": [1]},
+        {"translation": "beams"},
+        {"concurrency": True},
+        {"seed": [1]},
+        {"lexicon": 5},
+    ],
+    ids=[
+        "http-without-url",
+        "unknown-kind",
+        "timeout-not-a-number",
+        "negative-timeout",
+        "negative-max-retries",
+        "negative-backoff",
+        "backend-seed",
+        "temperature-not-a-number",
+        "generation-not-an-object",
+        "translation-not-an-object",
+        "bool-concurrency",
+        "seed-not-a-number",
+        "lexicon-not-a-path",
+    ],
+)
+def test_pipeline_refuses_a_malformed_config_before_running(tmp_path, capsys, extra):
+    out = tmp_path / "run"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out_dir": str(out), **extra}))
+    assert run_cli("pipeline", "--config", str(config)) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line)["error"] == "ConfigError"
+    assert not out.exists()
+
+
+def test_seed_flag_reaches_the_stub(tmp_path):
+    def records(config_seed, *flags):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"out_dir": "unused", "seed": config_seed}))
+        out = tmp_path / f"gen-{config_seed}-{len(flags)}"
+        argv = [*flags, "generate", "run", "--config", str(config), "--out", str(out)]
+        assert run_cli(*argv) == 0
+        return (out / "records.jsonl").read_bytes()
+
+    assert records(3, "--seed", "8") == records(8) != records(3)
+
+
 def test_global_config_flag(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(
@@ -304,7 +362,7 @@ def test_global_config_flag(tmp_path):
                 "out_dir": str(tmp_path / "run"),
                 "languages": ["hindi"],
                 "methods": ["original"],
-                "backend": {"kind": "stub", "seed": 3},
+                "seed": 3,
             }
         )
     )

@@ -1,8 +1,10 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
@@ -591,3 +593,66 @@ def test_empty_original_is_a_cell_failure(tmp_path):
             "error": "original output empty",
         }
     ]
+
+
+class _SlowStub(StubBackend):
+    """A stub that takes a few ms per generation and calls ``on_call(n)`` at
+    the start of its n-th one."""
+
+    def __init__(self, seed, on_call=lambda n: None):
+        super().__init__(seed)
+        self.calls = 0
+        self._lock = threading.Lock()
+        self._on_call = on_call
+
+    def generate(self, prompt, config):
+        with self._lock:
+            self.calls += 1
+            n = self.calls
+        self._on_call(n)
+        time.sleep(0.003)
+        return super().generate(prompt, config)
+
+
+def test_interrupt_cancels_the_queued_calls(tmp_path):
+    full = _original_run(tmp_path / "full.jsonl", seed=4)
+    path = tmp_path / "records.jsonl"
+    sink = RecordSink(path)
+
+    def interrupt(n):
+        if n == 20:
+            os.kill(os.getpid(), signal.SIGINT)
+
+    backend = _SlowStub(4, interrupt)
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_matrix(
+                [Language.HINDI], [PromptMethod.ORIGINAL], backend, sink,
+                concurrency=2,
+            )
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    # only the calls already running finish; waiting out the queue made 288
+    assert backend.calls <= 20 + 2 * 2
+    kept = path.read_bytes()
+    assert kept.endswith(b"\n") and full.startswith(kept)
+    assert sink._handle is None
+    assert _original_run(path, seed=4) == full  # a resume completes the file
+
+
+def test_a_failing_sink_cancels_the_queued_calls(tmp_path):
+    class FullDisk(RecordSink):
+        def append(self, record):
+            if len(self._ids) == 10:
+                raise OSError(28, "No space left on device")
+            super().append(record)
+
+    backend = _SlowStub(1)
+    sink = FullDisk(tmp_path / "records.jsonl")
+    with pytest.raises(OSError):
+        run_matrix(
+            [Language.HINDI], [PromptMethod.ORIGINAL], backend, sink, concurrency=2
+        )
+    assert backend.calls <= 11 + 2 * 2
+    assert sink._handle is None

@@ -41,11 +41,8 @@ def test_parse_config_http_backend(tmp_path):
 
 
 def test_parse_config_rejects_http_without_url(tmp_path):
-    config = parse_config(
-        {"out_dir": "run", "backend": {"kind": "http"}}, base_dir=tmp_path
-    )
     with pytest.raises(ConfigError):
-        config.make_backend()
+        parse_config({"out_dir": "run", "backend": {"kind": "http"}}, base_dir=tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -109,7 +106,7 @@ def test_pipeline_is_the_composition_of_the_subcommands(tmp_path):
                 "out_dir": str(tmp_path / "pipe"),
                 "languages": ["hindi"],
                 "methods": ["original", "simple", "complex"],
-                "backend": {"kind": "stub", "seed": 17},
+                "seed": 17,
             }
         )
     )
@@ -179,10 +176,12 @@ def test_pipeline_seed_override_leaves_the_callers_config_alone(tmp_path):
     assert config.backend == {"kind": "stub"}
 
 
-def test_with_seed_moves_a_stub_seed_but_not_an_http_one(tmp_path):
-    stub = RunConfig(out_dir=tmp_path, backend={"kind": "stub", "seed": 3})
-    assert stub.with_seed(8).backend == {"kind": "stub", "seed": 8}
-    http = RunConfig(out_dir=tmp_path, backend={"kind": "http", "url": "http://x"})
-    moved = http.with_seed(8)
-    assert moved.seed == 8
-    assert moved.backend == {"kind": "http", "url": "http://x"}
+def test_seed_override_reaches_the_stub(tmp_path):
+    def records(name, seed, seed_override=None):
+        config = RunConfig(
+            out_dir=tmp_path / name, methods=[PromptMethod.ORIGINAL], seed=seed
+        )
+        pipeline_run(config, seed_override=seed_override)
+        return (tmp_path / name / "records.jsonl").read_bytes()
+
+    assert records("a", 3, seed_override=8) == records("b", 8) != records("c", 3)
