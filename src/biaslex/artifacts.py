@@ -14,8 +14,12 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, TextIO
 
 
+# json.dumps(row, ensure_ascii=False) builds this same encoder for every call
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def jsonl_line(row: Any) -> str:
-    return json.dumps(row, ensure_ascii=False) + "\n"
+    return _encode(row) + "\n"
 
 
 @contextmanager

@@ -159,14 +159,16 @@ def cmd_generate_run(args: argparse.Namespace) -> int:
         config.methods = _parse_methods(args.methods)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    counts = generate_stage(config, Path(args.out))
+    counts, _ = generate_stage(config, Path(args.out))
     if not args.quiet:
         print(json.dumps(counts, indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    corpora, summary = ingest_stage(args.infile, args.out, args.detector, args.stopwords)
+    corpora, summary = ingest_stage(
+        corpus_mod.read_records(args.infile), args.out, args.detector, args.stopwords
+    )
     if not args.quiet:
         print(
             f"kept {summary.kept}/{summary.input_records} records; "

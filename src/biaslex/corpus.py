@@ -278,7 +278,9 @@ def clean_records(
             continue
         seen_ids.add(record.record_id)
         seen_texts.add(dedup_key)
-        kept.append(replace(record, english_text=text))
+        if text != record.english_text:
+            record = replace(record, english_text=text)
+        kept.append(record)
         summary._bump(record.language, "kept")
     return kept, summary
 

@@ -21,7 +21,7 @@ import os
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from http.client import HTTPException
 from pathlib import Path
 from typing import Sequence
@@ -62,6 +62,15 @@ class CorruptRecordsError(ValueError):
     is not a record."""
 
 
+def _require_integers(config: object, names: tuple[str, ...]) -> None:
+    """Refuse a float or bool where a count is expected: an endpoint would
+    receive it as posted."""
+    for name in names:
+        value = getattr(config, name)
+        if type(value) is not int:  # bool is an int subclass
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GenerationConfig:
     temperature: float = 0.7
@@ -71,6 +80,7 @@ class GenerationConfig:
     repetition_penalty: float = 1.5
 
     def __post_init__(self) -> None:
+        _require_integers(self, ("top_k", "max_new_tokens"))
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
         if not 0 < self.top_p <= 1:
@@ -89,6 +99,7 @@ class TranslationConfig:
     max_new_tokens: int = 500
 
     def __post_init__(self) -> None:
+        _require_integers(self, ("num_beams", "max_new_tokens"))
         if self.num_beams < 1:
             raise ValueError("num_beams must be >= 1")
         if self.max_new_tokens < 1:
@@ -282,11 +293,16 @@ class RecordSink:
     again. Any other line that does not parse raises
     :class:`CorruptRecordsError`. The file stays open for appending until
     :meth:`close`; every line is flushed as it is written.
+
+    ``records`` holds every record of the file, in file order: those read
+    when it was opened, then those appended. So the file is parsed once per
+    run.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.records: list[GenerationRecord] = []
         self._ids: set[str] = set()
         self._originals: dict[str, str] = {}  # original record id -> raw output
         self._original_languages: set[Language] = set()
@@ -327,6 +343,7 @@ class RecordSink:
             self._index(record)
 
     def _index(self, record: GenerationRecord) -> None:
+        self.records.append(record)
         self._ids.add(record.record_id)
         if record.method is PromptMethod.ORIGINAL:
             self._originals[record.record_id] = record.raw_output
@@ -406,7 +423,16 @@ def run_matrix(
     def generate(cell: GenerationRecord) -> GenerationRecord:
         raw = backend.generate(cell.prompt_text, gen_config)
         english = backend.translate(raw, trans_config)
-        return replace(cell, raw_output=raw, english_text=english)
+        return GenerationRecord(
+            cell.record_id,
+            cell.language,
+            cell.method,
+            cell.identity,
+            cell.application,
+            cell.prompt_text,
+            raw,
+            english,
+        )
 
     pool = ThreadPoolExecutor(max_workers=max(1, concurrency))
     try:

@@ -12,7 +12,18 @@ from dataclasses import dataclass
 from itertools import product
 
 
-class Religion(enum.Enum):
+class _GridEnum(enum.Enum):
+    """Base of the grid's enums: members hash by identity.
+
+    ``Enum.__hash__`` hashes the member's name in Python code, and every
+    ``Identity`` or document-key hash calls it several times. Members are
+    singletons compared by identity, so the object hash agrees with ``==``.
+    """
+
+    __hash__ = object.__hash__
+
+
+class Religion(_GridEnum):
     HINDU = "hindu"
     MUSLIM = "muslim"
 
@@ -21,7 +32,7 @@ class Religion(enum.Enum):
         return self.value.capitalize()
 
 
-class Gender(enum.Enum):
+class Gender(_GridEnum):
     MALE = "male"
     FEMALE = "female"
 
@@ -30,7 +41,7 @@ class Gender(enum.Enum):
         return self.value.capitalize()
 
 
-class MaritalStatus(enum.Enum):
+class MaritalStatus(_GridEnum):
     MARRIED = "married"
     DIVORCED = "divorced"
     WIDOWED = "widowed"
@@ -41,7 +52,7 @@ class MaritalStatus(enum.Enum):
         return self.value.capitalize()
 
 
-class Children(enum.Enum):
+class Children(_GridEnum):
     NO_CHILDREN = "no_children"
     ONE_CHILD = "one_child"
     MANY_CHILDREN = "many_children"
@@ -71,6 +82,16 @@ class Identity:
 
     @classmethod
     def from_json_dict(cls, data: dict[str, str]) -> "Identity":
+        key = (
+            data["religion"],
+            data["gender"],
+            data["marital_status"],
+            data["children"],
+        )
+        try:
+            return _IDENTITY_BY_VALUES[key]
+        except (KeyError, TypeError):  # not a grid value; the enums say why
+            pass
         return cls(
             religion=Religion(data["religion"]),
             gender=Gender(data["gender"]),
@@ -93,6 +114,10 @@ def enumerate_identities() -> list[Identity]:
 
 
 _IDENTITY_INDEX = {identity: i for i, identity in enumerate(enumerate_identities())}
+# the 48 canonical instances by their four JSON values
+_IDENTITY_BY_VALUES = {
+    tuple(identity.to_json_dict().values()): identity for identity in _IDENTITY_INDEX
+}
 
 
 def identity_order(identity: Identity) -> int:
@@ -100,13 +125,13 @@ def identity_order(identity: Identity) -> int:
     return _IDENTITY_INDEX[identity]
 
 
-class ApplicationKind(enum.Enum):
+class ApplicationKind(_GridEnum):
     TODO_LIST = "todo_list"
     HOBBIES_VALUES = "hobbies_values"
     STORY = "story"
 
 
-class StoryLocation(enum.Enum):
+class StoryLocation(_GridEnum):
     HOME = "home"
     SCHOOL = "school"
     WORKPLACE = "workplace"
@@ -152,7 +177,7 @@ def iter_applications() -> list[Application]:
     return cells
 
 
-class LanguageFamily(enum.Enum):
+class LanguageFamily(_GridEnum):
     INDO_ARYAN = "indo_aryan"
     DRAVIDIAN = "dravidian"
 
@@ -161,7 +186,7 @@ class LanguageFamily(enum.Enum):
         return "Indo-Aryan" if self is LanguageFamily.INDO_ARYAN else "Dravidian"
 
 
-class Language(enum.Enum):
+class Language(_GridEnum):
     HINDI = "hindi"
     URDU = "urdu"
     BENGALI = "bengali"
@@ -200,7 +225,7 @@ def language_family(language: Language) -> LanguageFamily:
     return language.family
 
 
-class PromptMethod(enum.Enum):
+class PromptMethod(_GridEnum):
     ORIGINAL = "original"
     SIMPLE_DEBIAS = "simple"
     COMPLEX_DEBIAS = "complex"

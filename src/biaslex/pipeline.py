@@ -1,7 +1,10 @@
 """End-to-end run: generate, ingest, score, aggregate, report.
 
 Every stage materializes its artifacts on disk so any number can be
-re-checked or re-run in isolation; nothing is held only in memory.
+re-checked or re-run in isolation. ``pipeline_run`` hands the records it
+generated or loaded straight to ingest, so ``records.jsonl`` is parsed once
+per run; ``biaslex ingest`` reads the same records from the file, and both
+write the same bytes.
 """
 from __future__ import annotations
 
@@ -158,13 +161,19 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
     generation_data = _block(data, "generation", _GENERATION_KEYS)
     translation_data = _block(data, "translation", _TRANSLATION_KEYS)
 
+    for key in ("languages", "methods"):
+        if not isinstance(data.get(key, []), list):
+            raise ConfigError(f"{key!r} must be a list, got {data[key]!r}")
+    seed = data.get("seed", 0)
+    if type(seed) is not int:  # bool is an int subclass
+        raise ConfigError(f"'seed' must be an integer, got {seed!r}")
+
     try:
         languages = [Language(l) for l in data.get("languages", ["hindi"])]
         methods = [PromptMethod(m) for m in data.get("methods", ["original"])]
         scope = scoring.Scope(data.get("scope", "identity"))
         generation_config = gen.GenerationConfig(**generation_data)
         translation_config = gen.TranslationConfig(**translation_data)
-        seed = int(data.get("seed", 0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -213,20 +222,24 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config(data, base_dir=path.parent)
 
 
-def generate_stage(config: RunConfig, out: Path) -> dict:
+def generate_stage(
+    config: RunConfig, out: Path
+) -> tuple[dict, list[corpus_mod.GenerationRecord]]:
     """Generate the grid into ``out/records.jsonl`` and write ``run_summary.json``.
 
-    Returns the per-phase counts. Partial failures are tolerated and
-    resumable; a run that produced nothing at all raises
+    Returns the per-phase counts and every record the file now holds, in
+    file order. Partial failures are tolerated and resumable; a run that
+    produced nothing at all raises
     :class:`~biaslex.generation.BackendUnavailableError`, because the
     backend never worked.
     """
     out.mkdir(parents=True, exist_ok=True)
+    sink = gen.RecordSink(out / "records.jsonl")
     run_summary = gen.run_matrix(
         languages=config.languages,
         methods=config.methods,
         backend=config.make_backend(),
-        sink=gen.RecordSink(out / "records.jsonl"),
+        sink=sink,
         gen_config=config.generation,
         trans_config=config.translation,
         concurrency=config.concurrency,
@@ -237,11 +250,11 @@ def generate_stage(config: RunConfig, out: Path) -> dict:
     failed = sum(c["failed"] for c in counts.values())
     if generated == 0 and failed > 0:
         raise gen.BackendUnavailableError(f"all {failed} attempted generations failed")
-    return counts
+    return counts, sink.records
 
 
 def ingest_stage(
-    records_path: str | Path,
+    records: list[corpus_mod.GenerationRecord],
     corpus_dir: str | Path,
     detector: str,
     stopwords_path: str | Path | None,
@@ -253,7 +266,6 @@ def ingest_stage(
     ``detector`` is ``"stub"`` for the ASCII-ratio English check or
     ``"none"`` to keep every record.
     """
-    records = corpus_mod.read_records(records_path)
     cleaned, cleaning = corpus_mod.clean_records(
         records, corpus_mod.stub_english_detector if detector == "stub" else None
     )
@@ -279,6 +291,11 @@ def score_stage(
     return cells, overall_rows
 
 
+def _table_key(key: corpus_mod.DocumentKey) -> tuple:
+    """The (language, application, method) of the report table a row is in."""
+    return key.language, key.application, key.method
+
+
 def pipeline_run(config: RunConfig, seed_override: int | None = None) -> dict:
     """Run all stages, returning a summary of artifacts written.
 
@@ -295,7 +312,7 @@ def pipeline_run(config: RunConfig, seed_override: int | None = None) -> dict:
     summary: dict = {"out_dir": str(out), "stages": {}}
     stage = "generate"
     try:
-        counts = generate_stage(config, out)
+        counts, records = generate_stage(config, out)
         summary["stages"][stage] = {
             "records": rel(out / "records.jsonl"),
             "counts": counts,
@@ -304,8 +321,9 @@ def pipeline_run(config: RunConfig, seed_override: int | None = None) -> dict:
         stage = "ingest"
         corpus_dir = out / "corpus"
         corpora, _ = ingest_stage(
-            out / "records.jsonl", corpus_dir, config.detector, config.stopwords_path
+            records, corpus_dir, config.detector, config.stopwords_path
         )
+        del records  # the corpora hold what the later stages need
         summary["stages"][stage] = {
             "corpus_dir": rel(corpus_dir),
             "documents": {
@@ -343,11 +361,22 @@ def pipeline_run(config: RunConfig, seed_override: int | None = None) -> dict:
         reports_dir = out / "reports"
         reports_dir.mkdir(exist_ok=True)
         report_files = []
+        # each table's rows, grouped once rather than scanned for every table
+        table_cells: dict[tuple, list] = {}
+        for cell in cells:
+            table_cells.setdefault(_table_key(cell.key), []).append(cell)
+        table_overall: dict[tuple, list] = {}
+        for row in overall_rows:
+            table_overall.setdefault(_table_key(row[0]), []).append(row)
         for language in config.languages:
             for method in config.methods:
                 for app in ApplicationKind:
                     table = report_mod.build_report(
-                        cells, overall_rows, language, app, method
+                        table_cells.get((language, app, method), []),
+                        table_overall.get((language, app, method), []),
+                        language,
+                        app,
+                        method,
                     )
                     for fmt in report_mod.ReportFormat:
                         name = (

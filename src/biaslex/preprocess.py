@@ -30,7 +30,6 @@ from .identities import Application, ApplicationKind
 Lemmatizer = Callable[[str], str]
 
 _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
-_WHITESPACE_RE = re.compile(r"\s+")
 
 HOBBIES_FRAME_LEMMAS = frozenset({"personal", "value", "interest"})
 STORY_LOCATION_LEMMAS = frozenset({"home", "school", "workplace", "hospital"})
@@ -68,8 +67,12 @@ _SIBILANT_ENDINGS = ("s", "x", "z", "ch", "sh")
 
 
 def normalize_text(text: str) -> str:
-    """NFC-normalize and collapse whitespace runs to single spaces."""
-    return _WHITESPACE_RE.sub(" ", unicodedata.normalize("NFC", text)).strip()
+    """NFC-normalize and collapse whitespace runs to single spaces.
+
+    ``str.split`` splits at exactly the characters ``re``'s ``\\s`` matches,
+    so this equals ``re.sub(r"\\s+", " ", text).strip()`` after NFC.
+    """
+    return " ".join(unicodedata.normalize("NFC", text).split())
 
 
 def tokenize(text: str) -> list[str]:
@@ -149,7 +152,13 @@ def preprocess(
     lemmatize = lemmatizer or rule_lemmatize
     if stopwords is None:
         stopwords = load_stopwords()
-    dropped = stopwords | application_exclusions(kind)
+    # the small sets are tested on their own: a union with the stopwords
+    # would copy the whole list for every document
+    excluded = application_exclusions(kind)
     if prompt_text:
-        dropped |= prompt_lemmas(prompt_text, lemmatize)
-    return [lemma for lemma in map(lemmatize, tokenize(text)) if lemma not in dropped]
+        excluded |= prompt_lemmas(prompt_text, lemmatize)
+    return [
+        lemma
+        for lemma in map(lemmatize, tokenize(text))
+        if lemma not in stopwords and lemma not in excluded
+    ]

@@ -300,21 +300,27 @@ _LOCAL_HTTP = {"kind": "http", "url": "http://127.0.0.1:9"}
 
 
 @pytest.mark.parametrize(
-    "extra",
+    "extra, named",
     [
-        {"backend": {"kind": "http"}},
-        {"backend": {"kind": "foo"}},
-        {"backend": {**_LOCAL_HTTP, "timeout": "abc"}},
-        {"backend": {**_LOCAL_HTTP, "timeout": -1}},
-        {"backend": {**_LOCAL_HTTP, "max_retries": -1}},
-        {"backend": {**_LOCAL_HTTP, "backoff": -0.5}},
-        {"backend": {"kind": "stub", "seed": 3}},
-        {"generation": {"temperature": "hot"}},
-        {"generation": [1]},
-        {"translation": "beams"},
-        {"concurrency": True},
-        {"seed": [1]},
-        {"lexicon": 5},
+        ({"backend": {"kind": "http"}}, None),
+        ({"backend": {"kind": "foo"}}, None),
+        ({"backend": {**_LOCAL_HTTP, "timeout": "abc"}}, None),
+        ({"backend": {**_LOCAL_HTTP, "timeout": -1}}, None),
+        ({"backend": {**_LOCAL_HTTP, "max_retries": -1}}, None),
+        ({"backend": {**_LOCAL_HTTP, "backoff": -0.5}}, None),
+        ({"backend": {"kind": "stub", "seed": 3}}, None),
+        ({"generation": {"temperature": "hot"}}, None),
+        ({"generation": [1]}, None),
+        ({"translation": "beams"}, None),
+        ({"concurrency": True}, None),
+        ({"seed": [1]}, None),
+        ({"lexicon": 5}, None),
+        ({"seed": 1.7}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"generation": {"top_k": 2.5}}, "top_k"),
+        ({"translation": {"num_beams": 2.0}}, "num_beams"),
+        ({"languages": "hindi"}, "languages"),
+        ({"methods": "original"}, "methods"),
     ],
     ids=[
         "http-without-url",
@@ -330,15 +336,26 @@ _LOCAL_HTTP = {"kind": "http", "url": "http://127.0.0.1:9"}
         "bool-concurrency",
         "seed-not-a-number",
         "lexicon-not-a-path",
+        "float-seed",
+        "bool-seed",
+        "float-top-k",
+        "float-num-beams",
+        "languages-a-string",
+        "methods-a-string",
     ],
 )
-def test_pipeline_refuses_a_malformed_config_before_running(tmp_path, capsys, extra):
+def test_pipeline_refuses_a_malformed_config_before_running(
+    tmp_path, capsys, extra, named
+):
     out = tmp_path / "run"
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"out_dir": str(out), **extra}))
     assert run_cli("pipeline", "--config", str(config)) == 1
     (line,) = capsys.readouterr().err.splitlines()
-    assert json.loads(line)["error"] == "ConfigError"
+    error = json.loads(line)
+    assert error["error"] == "ConfigError"
+    if named is not None:
+        assert named in error["message"]
     assert not out.exists()
 
 

@@ -544,6 +544,27 @@ def test_corrupt_line_before_the_last_is_refused(tmp_path):
     assert path.read_bytes() == b"".join(lines)
 
 
+def test_a_record_off_the_grid_is_refused(tmp_path):
+    path = tmp_path / "records.jsonl"
+    lines = _original_run(path).splitlines(keepends=True)
+    lines[2] = lines[2].replace(b'"religion": "hindu"', b'"religion": "jain"', 1)
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(CorruptRecordsError, match="line 3 .*'jain' is not a valid"):
+        RecordSink(path)
+
+
+def test_sink_records_are_the_files_records_in_file_order(tmp_path):
+    path = tmp_path / "records.jsonl"
+    full = _original_run(path)
+    path.write_bytes(full[: full.index(b"\n", len(full) // 2) + 1])
+    sink = RecordSink(path)
+    loaded = len(sink.records)
+    run_matrix([Language.HINDI], [PromptMethod.ORIGINAL], StubBackend(seed=1), sink)
+    assert path.read_bytes() == full
+    assert 0 < loaded < len(sink.records) == 288
+    assert sink.records == read_records(path)
+
+
 def test_sink_keeps_one_handle_and_reopens_after_close(tmp_path):
     path = tmp_path / "records.jsonl"
     _original_run(path)

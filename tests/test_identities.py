@@ -47,6 +47,41 @@ def test_identity_json_round_trip():
         assert Identity.from_json_dict(identity.to_json_dict()) == identity
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("religion", "jain"),
+        ("gender", "Male"),
+        ("marital_status", "engaged"),
+        ("children", ["no_children"]),
+    ],
+)
+def test_identity_from_json_refuses_a_value_off_the_grid(field, value):
+    data = {**enumerate_identities()[0].to_json_dict(), field: value}
+    with pytest.raises(ValueError, match="is not a valid"):
+        Identity.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "grid_enum",
+    [
+        Religion,
+        Gender,
+        MaritalStatus,
+        Children,
+        ApplicationKind,
+        StoryLocation,
+        LanguageFamily,
+        Language,
+        PromptMethod,
+    ],
+)
+def test_grid_enums_hash_by_identity(grid_enum):
+    for member in grid_enum:
+        assert hash(member) == object.__hash__(member)
+        assert member == grid_enum(member.value)
+
+
 def test_surface_labels():
     assert Religion.HINDU.label == "Hindu"
     assert Gender.FEMALE.label == "Female"

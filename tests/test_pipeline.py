@@ -1,10 +1,19 @@
+import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import biaslex
+from biaslex import corpus
 from biaslex.cli import main
 from biaslex.generation import HttpBackend, StubBackend
-from biaslex.identities import Language, PromptMethod
+from biaslex.identities import ApplicationKind, Language, PromptMethod
 from biaslex.pipeline import (
     ConfigError,
     RunConfig,
@@ -13,7 +22,10 @@ from biaslex.pipeline import (
     parse_config,
     pipeline_run,
 )
+from biaslex.report import ReportFormat
 from biaslex.scoring import Scope
+
+SRC = str(Path(biaslex.__file__).resolve().parent.parent)
 
 
 def test_parse_config_defaults(tmp_path):
@@ -96,9 +108,11 @@ def test_pipeline_stage_error_names_the_stage(tmp_path):
     assert excinfo.value.stage == "generate"
 
 
-def test_pipeline_is_the_composition_of_the_subcommands(tmp_path):
+@pytest.mark.parametrize("start", ["empty", "resumable", "cut-short"])
+def test_pipeline_is_the_composition_of_the_subcommands(tmp_path, start):
     """Running the stages via individual CLI commands reproduces the
-    pipeline's own artifacts byte for byte."""
+    pipeline's own artifacts byte for byte, from an empty record file, from
+    a resumable prefix and from one whose last line a crash cut short."""
     config_path = tmp_path / "config.json"
     config_path.write_text(
         json.dumps(
@@ -110,21 +124,39 @@ def test_pipeline_is_the_composition_of_the_subcommands(tmp_path):
             }
         )
     )
-    pipeline_run(load_config(config_path))
     pipe = tmp_path / "pipe"
-
     manual = tmp_path / "manual"
-    manual.mkdir()
+    for out in (pipe, manual):
+        out.mkdir()
+    if start != "empty":
+        source = tmp_path / "source"
+        assert main(
+            ["generate", "run", "--config", str(config_path), "--out", str(source)]
+        ) == 0
+        lines = (source / "records.jsonl").read_bytes().splitlines(keepends=True)
+        # all 288 originals and part of the simple-debias phase
+        prefix = b"".join(lines[:300])
+        if start == "cut-short":
+            prefix += lines[300][: len(lines[300]) // 2]
+        for out in (pipe, manual):
+            (out / "records.jsonl").write_bytes(prefix)
+
+    pipeline_run(load_config(config_path))
+
     assert main(
         ["generate", "run", "--config", str(config_path), "--out", str(manual)]
     ) == 0
     for name in ["records.jsonl", "run_summary.json"]:
         assert (manual / name).read_bytes() == (pipe / name).read_bytes()
+    summary = json.loads((pipe / "run_summary.json").read_text())
+    assert ("dropped_tail" in summary) == (start == "cut-short")
 
     assert main(
         ["ingest", "--in", str(manual / "records.jsonl"), "--out", str(manual / "corpus")]
     ) == 0
-    for name in ["corpus_hindi_original.jsonl", "cleaning_summary.json"]:
+    corpus_files = sorted(path.name for path in (pipe / "corpus").iterdir())
+    assert len(corpus_files) == 4  # three corpora and the cleaning summary
+    for name in corpus_files:
         assert (manual / "corpus" / name).read_bytes() == (
             pipe / "corpus" / name
         ).read_bytes()
@@ -141,18 +173,87 @@ def test_pipeline_is_the_composition_of_the_subcommands(tmp_path):
         pipe / "overall.jsonl"
     ).read_bytes()
 
-    assert main(
-        [
-            "report", "--scores", str(manual / "scores.jsonl"),
-            "--overall", str(manual / "overall.jsonl"),
-            "--language", "hindi", "--application", "story",
-            "--method", "original", "--format", "html",
-            "--out", str(manual / "report.html"),
-        ]
-    ) == 0
-    assert (manual / "report.html").read_bytes() == (
-        pipe / "reports" / "report_hindi_story_original.html"
-    ).read_bytes()
+    names = []
+    for app in ApplicationKind:
+        for method in PromptMethod:
+            for fmt in ReportFormat:
+                name = f"report_hindi_{app.value}_{method.value}.{fmt.value}"
+                names.append(name)
+                assert main(
+                    [
+                        "report", "--scores", str(manual / "scores.jsonl"),
+                        "--overall", str(manual / "overall.jsonl"),
+                        "--language", "hindi", "--application", app.value,
+                        "--method", method.value, "--format", fmt.value,
+                        "--out", str(manual / name),
+                    ]
+                ) == 0
+                assert (manual / name).read_bytes() == (
+                    pipe / "reports" / name
+                ).read_bytes()
+    assert sorted(names) == sorted(path.name for path in (pipe / "reports").iterdir())
+
+
+@pytest.mark.parametrize("resume", [False, True])
+def test_pipeline_parses_the_record_file_once(tmp_path, monkeypatch, resume):
+    config = RunConfig(
+        out_dir=tmp_path / "run", methods=[PromptMethod.ORIGINAL], seed=5
+    )
+    if resume:
+        pipeline_run(replace(config, out_dir=tmp_path / "first"))
+        (tmp_path / "run").mkdir()
+        shutil.copyfile(
+            tmp_path / "first" / "records.jsonl", tmp_path / "run" / "records.jsonl"
+        )
+    parsed = []
+    from_json_dict = corpus.GenerationRecord.from_json_dict
+
+    def counting(data):
+        parsed.append(data["record_id"])
+        return from_json_dict(data)
+
+    def refuse(path):
+        raise AssertionError(f"{path} was read again")
+
+    monkeypatch.setattr(corpus, "read_records", refuse)
+    monkeypatch.setattr(corpus.GenerationRecord, "from_json_dict", counting)
+    summary = pipeline_run(config)
+    assert summary["stages"]["ingest"]["documents"] == {"hindi/original": 144}
+    assert len(parsed) == (288 if resume else 0)
+
+
+def _tree_digest(root):
+    return {
+        str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_pipeline_trees_do_not_depend_on_the_hash_seed(tmp_path):
+    """Enum members hash by identity and str hashes follow PYTHONHASHSEED,
+    so set and dict orders differ between interpreters; no artifact may."""
+    config = {
+        "languages": ["hindi"],
+        "methods": ["original", "simple", "complex"],
+        "seed": 23,
+    }
+    pipeline_run(parse_config({**config, "out_dir": str(tmp_path / "here")}))
+    digests = {"here": _tree_digest(tmp_path / "here")}
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"hashseed{hash_seed}"
+        config_path = tmp_path / f"config{hash_seed}.json"
+        config_path.write_text(json.dumps({**config, "out_dir": str(out)}))
+        subprocess.run(
+            [sys.executable, "-m", "biaslex.cli", "pipeline", "--config", str(config_path)],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": SRC},
+            check=True,
+            capture_output=True,
+            timeout=120,
+        )
+        digests[hash_seed] = _tree_digest(out)
+    assert len(digests["here"]) == 41
+    assert digests["0"] == digests["1"] == digests["here"]
 
 
 def test_pipeline_seed_override_changes_outputs(tmp_path):

@@ -1,3 +1,7 @@
+import re
+import sys
+import unicodedata
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +17,23 @@ from biaslex.preprocess import (
 )
 
 STOPWORDS = load_stopwords()
+
+
+# every character str.isspace() accepts (\x1c-\x1f, \x85, \xa0, \u2000-\u200a,
+# \u2028, \u2029, \u3000, ...), plus neighbours it does not
+_WHITESPACE = "".join(chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace())
+_NEAR_WHITESPACE = "\u200b\u200d\u2060\ufeff\x00\x1b"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(
+        alphabet=st.sampled_from(_WHITESPACE + _NEAR_WHITESPACE + "ae\u0301\u00e9Z")
+    )
+)
+def test_normalize_text_matches_the_regex_form(text):
+    expected = re.sub(r"\s+", " ", unicodedata.normalize("NFC", text)).strip()
+    assert normalize_text(text) == expected
 
 
 def test_normalize_collapses_whitespace_and_nfc():
