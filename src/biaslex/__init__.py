@@ -13,14 +13,12 @@ from .identities import (
     Religion,
     StoryLocation,
     enumerate_identities,
-    language_family,
 )
 from .lexicon import (
     BiasLexicon,
     BiasTerm,
     IdentitySelector,
     Provenance,
-    applicable_terms,
     expand_lexicon,
     load_lexicon,
     load_seed_lexicon,

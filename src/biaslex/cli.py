@@ -135,8 +135,6 @@ def cmd_lexicon_expand(args: argparse.Namespace) -> int:
     lexicon = load_lexicon(args.path)
     provider = TableSynonymProvider.from_csv(args.synonyms)
     oracle = TableSimilarityOracle.from_csv(args.similarity)
-    if not 0.0 <= args.threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {args.threshold}")
     expanded = expand_lexicon(lexicon, provider, oracle, args.threshold)
     save_lexicon(expanded, args.out)
     if not args.quiet:
@@ -144,19 +142,8 @@ def cmd_lexicon_expand(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _resolve_config_path(args: argparse.Namespace) -> str:
-    path = getattr(args, "config_override", None) or args.config
-    if not path:
-        raise ValueError("a configuration file is required; pass --config <path>")
-    return path
-
-
 def cmd_generate_run(args: argparse.Namespace) -> int:
-    config = load_config(_resolve_config_path(args))
-    if args.languages:
-        config.languages = [_parse_language(l) for l in args.languages.split(",")]
-    if args.methods:
-        config.methods = _parse_methods(args.methods)
+    config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     counts, _ = generate_stage(config, Path(args.out))
@@ -224,7 +211,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    config = load_config(_resolve_config_path(args))
+    config = load_config(args.config)
     summary = pipeline_run(config, seed_override=args.seed)
     if not args.quiet:
         print(f"pipeline complete; artifacts under {summary['out_dir']}")
@@ -238,9 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     parser.add_argument("--seed", type=int, default=None, help="stub backend seed")
-    parser.add_argument(
-        "--config", default=None, help="run configuration (generate run, pipeline)"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     prompts = sub.add_parser("prompts", help="render prompt matrices")
@@ -276,9 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate = sub.add_parser("generate", help="run generation against a backend")
     generate_sub = generate.add_subparsers(dest="subcommand", required=True)
     run = generate_sub.add_parser("run")
-    run.add_argument("--config", dest="config_override", default=None)
-    run.add_argument("--languages", default=None, help="comma-separated names")
-    run.add_argument("--methods", default=None)
+    run.add_argument("--config", required=True, help="run configuration")
     run.add_argument("--out", required=True)
     run.set_defaults(func=cmd_generate_run)
 
@@ -325,13 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     report.set_defaults(func=cmd_report)
 
     pipeline = sub.add_parser("pipeline", help="run generate/ingest/score/aggregate/report")
-    pipeline.add_argument("--config", dest="config_override", default=None)
+    pipeline.add_argument("--config", required=True, help="run configuration")
     pipeline.set_defaults(func=cmd_pipeline)
 
     return parser
 
 
-def dispatch(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -367,10 +349,6 @@ def dispatch(argv: list[str] | None = None) -> int:
     ) as exc:
         _diagnostic(exc)
         return EXIT_VALIDATION
-
-
-def main(argv: list[str] | None = None) -> int:
-    return dispatch(argv)
 
 
 if __name__ == "__main__":

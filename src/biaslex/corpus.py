@@ -8,7 +8,7 @@ own corpus so document frequencies never mix prompting methods.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cache, cached_property
 from pathlib import Path
 from typing import Callable, Iterable
@@ -208,32 +208,16 @@ class CleaningSummary:
     by_language: dict[str, dict[str, int]] = field(default_factory=dict)
 
     def _bump(self, language: Language, field_name: str) -> None:
-        per = self.by_language.setdefault(
-            language.value,
-            {
-                "input_records": 0,
-                "kept": 0,
-                "dropped_empty_text": 0,
-                "dropped_duplicate_id": 0,
-                "dropped_non_english": 0,
-                "dropped_duplicate_text": 0,
-            },
-        )
+        per = self.by_language.setdefault(language.value, dict.fromkeys(_COUNTERS, 0))
         per[field_name] += 1
         setattr(self, field_name, getattr(self, field_name) + 1)
 
     def to_json_dict(self) -> dict:
-        return {
-            "input_records": self.input_records,
-            "kept": self.kept,
-            "dropped_empty_text": self.dropped_empty_text,
-            "dropped_duplicate_id": self.dropped_duplicate_id,
-            "dropped_non_english": self.dropped_non_english,
-            "dropped_duplicate_text": self.dropped_duplicate_text,
-            "by_language": {
-                lang: dict(counts) for lang, counts in sorted(self.by_language.items())
-            },
-        }
+        return asdict(self)
+
+
+# the counters that by_language repeats for each language
+_COUNTERS = tuple(f.name for f in fields(CleaningSummary) if f.name != "by_language")
 
 
 def document_key_for(record: GenerationRecord) -> DocumentKey:

@@ -136,8 +136,6 @@ def _stub_text(prompt: str, seed: int) -> str:
 class StubBackend:
     """Offline deterministic backend; translation is the identity map."""
 
-    kind = "stub"
-
     def __init__(self, seed: int = 0):
         self.seed = seed
 
@@ -183,8 +181,6 @@ def _response_text(body: bytes) -> str:
 
 class HttpBackend:
     """Text-completion endpoint client with bounded retries."""
-
-    kind = "http"
 
     def __init__(
         self,
@@ -380,6 +376,9 @@ class RunSummary:
     counts: dict[str, dict[str, int]] = field(default_factory=dict)
     failures: list[dict[str, str]] = field(default_factory=list)
     dropped_tail: dict[str, int] | None = None
+    # cells whose backend call raised; "failed" also counts debias cells
+    # that had no original to send
+    failed_calls: int = 0
 
     def _cell(self, language: Language, method: PromptMethod) -> dict[str, int]:
         key = f"{language.value}/{method.value}"
@@ -434,7 +433,7 @@ def run_matrix(
             english,
         )
 
-    pool = ThreadPoolExecutor(max_workers=max(1, concurrency))
+    pool = ThreadPoolExecutor(max_workers=concurrency)
     try:
         for language in languages:
             for method in ordered_methods:
@@ -453,6 +452,7 @@ def run_matrix(
                         record = future.result()
                     except Exception as exc:
                         counts["failed"] += 1
+                        summary.failed_calls += 1
                         summary.failures.append(
                             {"record_id": cell.record_id, "error": str(exc)}
                         )

@@ -22,23 +22,20 @@ class _GridEnum(enum.Enum):
 
     __hash__ = object.__hash__
 
+    @property
+    def label(self) -> str:
+        """Display name: "no_children" -> "No children"."""
+        return self.value.replace("_", " ").capitalize()
+
 
 class Religion(_GridEnum):
     HINDU = "hindu"
     MUSLIM = "muslim"
 
-    @property
-    def label(self) -> str:
-        return self.value.capitalize()
-
 
 class Gender(_GridEnum):
     MALE = "male"
     FEMALE = "female"
-
-    @property
-    def label(self) -> str:
-        return self.value.capitalize()
 
 
 class MaritalStatus(_GridEnum):
@@ -47,20 +44,11 @@ class MaritalStatus(_GridEnum):
     WIDOWED = "widowed"
     SINGLE = "single"
 
-    @property
-    def label(self) -> str:
-        return self.value.capitalize()
-
 
 class Children(_GridEnum):
     NO_CHILDREN = "no_children"
     ONE_CHILD = "one_child"
     MANY_CHILDREN = "many_children"
-
-    @property
-    def label(self) -> str:
-        # "no_children" -> "No children"
-        return self.value.replace("_", " ").capitalize()
 
 
 @dataclass(frozen=True)
@@ -199,10 +187,6 @@ class Language(_GridEnum):
     TAMIL = "tamil"
 
     @property
-    def label(self) -> str:
-        return self.value.capitalize()
-
-    @property
     def family(self) -> LanguageFamily:
         return _FAMILIES[self]
 
@@ -219,10 +203,6 @@ _FAMILIES = {
     Language.MALAYALAM: LanguageFamily.DRAVIDIAN,
     Language.TAMIL: LanguageFamily.DRAVIDIAN,
 }
-
-
-def language_family(language: Language) -> LanguageFamily:
-    return language.family
 
 
 class PromptMethod(_GridEnum):

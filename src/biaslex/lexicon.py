@@ -100,10 +100,6 @@ class IdentitySelector:
         return True
 
 
-def matches(selector: IdentitySelector, identity: Identity) -> bool:
-    return selector.matches(identity)
-
-
 @dataclass(frozen=True)
 class BiasTerm:
     lemma: str
@@ -161,10 +157,6 @@ class BiasLexicon:
                 e.lemma for e in self._entries if e.selector.matches(identity)
             )
         return scope
-
-
-def applicable_terms(lexicon: BiasLexicon, identity: Identity) -> frozenset[str]:
-    return lexicon.applicable_terms(identity)
 
 
 def _normalize_lemma(raw: str) -> str:

@@ -90,6 +90,12 @@ def _check_backend(backend: dict) -> None:
         raise ConfigError(f"unknown backend kind {kind!r}")
     if kind == "http" and not isinstance(backend.get("url"), str):
         raise ConfigError("http backend requires a 'url' string")
+    http_keys = sorted(set(backend) - {"kind"})
+    if kind == "stub" and http_keys:
+        raise ConfigError(
+            f"the stub backend takes no {', '.join(http_keys)}; "
+            "set \"kind\": \"http\" to use them"
+        )
     for key in ("translate_url", "auth_env"):
         if backend.get(key) is not None and not isinstance(backend[key], str):
             raise ConfigError(f"backend {key!r} must be a string")
@@ -228,14 +234,14 @@ def generate_stage(
     """Generate the grid into ``out/records.jsonl`` and write ``run_summary.json``.
 
     Returns the per-phase counts and every record the file now holds, in
-    file order. Partial failures are tolerated and resumable; a run that
-    produced nothing at all raises
+    file order. Partial failures are tolerated and resumable; a run whose
+    every backend call failed raises
     :class:`~biaslex.generation.BackendUnavailableError`, because the
     backend never worked.
     """
     out.mkdir(parents=True, exist_ok=True)
     sink = gen.RecordSink(out / "records.jsonl")
-    run_summary = gen.run_matrix(
+    run = gen.run_matrix(
         languages=config.languages,
         methods=config.methods,
         backend=config.make_backend(),
@@ -243,13 +249,14 @@ def generate_stage(
         gen_config=config.generation,
         trans_config=config.translation,
         concurrency=config.concurrency,
-    ).to_json_dict()
+    )
+    run_summary = run.to_json_dict()
     write_json(out / "run_summary.json", run_summary)
     counts = run_summary["counts"]
-    generated = sum(c["generated"] for c in counts.values())
-    failed = sum(c["failed"] for c in counts.values())
-    if generated == 0 and failed > 0:
-        raise gen.BackendUnavailableError(f"all {failed} attempted generations failed")
+    if run.failed_calls and not any(c["generated"] for c in counts.values()):
+        raise gen.BackendUnavailableError(
+            f"all {run.failed_calls} attempted generations failed"
+        )
     return counts, sink.records
 
 

@@ -107,32 +107,27 @@ def build_report(
     get absent cells. Supplying two cells for one identity is an error.
     """
     score_by_identity: dict[Identity, ScoreCell] = {}
-    for cell in scores or []:
-        key = cell.key
-        if (
-            key.language is language
-            and key.application is application
-            and key.method is method
-        ):
-            if key.identity in score_by_identity:
-                raise ReportError(f"duplicate score cell for {key.identity}")
-            score_by_identity[key.identity] = cell
-
-    overall_by_identity: dict[Identity, tuple[str, float] | None] = {}
-    for key, top in overall or []:
-        if (
-            key.language is language
-            and key.application is application
-            and key.method is method
-        ):
-            if key.identity in overall_by_identity:
-                raise ReportError(f"duplicate overall row for {key.identity}")
-            overall_by_identity[key.identity] = top
+    overall_by_identity: dict[Identity, tuple] = {}  # identity -> (key, top)
+    for source, by_identity, what in (
+        (scores or (), score_by_identity, "score cell"),
+        (overall or (), overall_by_identity, "overall row"),
+    ):
+        is_cell = by_identity is score_by_identity
+        for row in source:
+            key = row.key if is_cell else row[0]
+            if (
+                key.language is language
+                and key.application is application
+                and key.method is method
+            ):
+                if key.identity in by_identity:
+                    raise ReportError(f"duplicate {what} for {key.identity}")
+                by_identity[key.identity] = row
 
     rows = []
     for identity in enumerate_identities():
         cell = score_by_identity.get(identity)
-        top_overall = overall_by_identity.get(identity)
+        top_overall = overall_by_identity.get(identity, (None, None))[1]
         rows.append(
             ReportRow(
                 identity=identity,
@@ -249,12 +244,8 @@ _HTML_STYLE = (
 
 def _render_html(table: ReportTable) -> str:
     # bins become td classes, so the _bin columns have no cells of their own
-    columns = [c for c in _columns(table) if not c.endswith("_bin")]
-    bin_lookup = {
-        "bias_score": table.bias_score_bins,
-        "top_bias_tfidf": table.top_bias_tfidf_bins,
-        "top_overall_tfidf": table.top_overall_tfidf_bins,
-    }
+    all_columns = _columns(table)
+    columns = [c for c in all_columns if not c.endswith("_bin")]
     title = (
         f"{table.language.label} / {table.application.value} / {table.method.value}"
     )
@@ -268,18 +259,16 @@ def _render_html(table: ReportTable) -> str:
         "<table>",
         "<tr>" + "".join(f"<th>{html.escape(c)}</th>" for c in columns) + "</tr>",
     ]
-    all_columns = _columns(table)
     for index in range(len(table.rows)):
-        cells = []
+        cells = []  # [class attribute, escaped text]
         for column, value in zip(all_columns, _row_values(table, index)):
-            if column.endswith("_bin"):
-                continue
-            bin_class = bin_lookup.get(column)
-            css = ""
-            if bin_class is not None and bin_class[index] is not None:
-                css = f" class=\"bin-{bin_class[index].value}\""
-            cells.append(f"<td{css}>{html.escape(value)}</td>")
-        parts.append("<tr>" + "".join(cells) + "</tr>")
+            if not column.endswith("_bin"):
+                cells.append(["", html.escape(value)])
+            elif value:  # each _bin column follows the column it classes
+                cells[-1][0] = f" class=\"bin-{value}\""
+        parts.append(
+            "<tr>" + "".join(f"<td{css}>{text}</td>" for css, text in cells) + "</tr>"
+        )
     parts += ["</table>", "</body></html>", ""]
     return "\n".join(parts)
 

@@ -1,9 +1,12 @@
 import csv
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from biaslex.cli import main
+from biaslex.cli import build_parser, main
 from biaslex.lexicon import seed_lexicon_path
 
 
@@ -371,22 +374,6 @@ def test_seed_flag_reaches_the_stub(tmp_path):
     assert records(3, "--seed", "8") == records(8) != records(3)
 
 
-def test_global_config_flag(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(
-        json.dumps(
-            {
-                "out_dir": str(tmp_path / "run"),
-                "languages": ["hindi"],
-                "methods": ["original"],
-                "seed": 3,
-            }
-        )
-    )
-    assert run_cli("--config", str(config), "pipeline") == 0
-    assert (tmp_path / "run" / "scores.jsonl").exists()
-
-
 def test_pipeline_without_config():
     assert run_cli("pipeline") == 1
 
@@ -417,3 +404,29 @@ def test_pipeline_stops_at_failing_stage(tmp_path, capsys):
 
 def test_bad_usage_maps_to_validation_exit():
     assert run_cli("score") == 1  # missing required options
+
+
+def _readme_commands() -> list[str]:
+    """The ``biaslex ...`` lines of README's fenced blocks, with ``\\``
+    continuations joined and ``[...]`` optional groups and ``# ...`` comments
+    dropped."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(
+        r"^```[^\n]*\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S
+    )
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [
+        re.sub(r"\[[^\]]*\]", "", line.split("#")[0]).strip() for line in lines
+    ]
+    return [command for command in commands if command.startswith("biaslex ")]
+
+
+def test_readme_command_lines_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 10  # the extraction found the command block
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")

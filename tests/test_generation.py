@@ -616,6 +616,16 @@ def test_empty_original_is_a_cell_failure(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("concurrency", [0, -3])
+def test_run_matrix_refuses_a_concurrency_below_one(tmp_path, concurrency):
+    with pytest.raises(ValueError):
+        run_matrix(
+            [Language.HINDI], [PromptMethod.ORIGINAL], StubBackend(seed=1),
+            RecordSink(tmp_path / "records.jsonl"), concurrency=concurrency,
+        )
+    assert not (tmp_path / "records.jsonl").exists()
+
+
 class _SlowStub(StubBackend):
     """A stub that takes a few ms per generation and calls ``on_call(n)`` at
     the start of its n-th one."""

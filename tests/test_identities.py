@@ -15,7 +15,6 @@ from biaslex.identities import (
     enumerate_identities,
     identity_order,
     iter_applications,
-    language_family,
 )
 
 
@@ -92,7 +91,7 @@ def test_surface_labels():
 
 
 def test_language_family_partition():
-    families = {language: language_family(language) for language in Language}
+    families = {language: language.family for language in Language}
     indo_aryan = [l for l, f in families.items() if f is LanguageFamily.INDO_ARYAN]
     dravidian = [l for l, f in families.items() if f is LanguageFamily.DRAVIDIAN]
     assert len(indo_aryan) == 6
@@ -114,8 +113,8 @@ def test_language_family_partition():
 
 
 def test_language_family_examples():
-    assert language_family(Language.HINDI) is LanguageFamily.INDO_ARYAN
-    assert language_family(Language.TAMIL) is LanguageFamily.DRAVIDIAN
+    assert Language.HINDI.family is LanguageFamily.INDO_ARYAN
+    assert Language.TAMIL.family is LanguageFamily.DRAVIDIAN
 
 
 def test_application_cells():

@@ -26,7 +26,6 @@ from biaslex.lexicon import (
     expand_lexicon,
     load_lexicon,
     load_seed_lexicon,
-    matches,
     save_lexicon,
     validate_lexicon,
 )
@@ -102,7 +101,7 @@ def test_load_normalizes_lemma_case():
 
 def test_matches_single_field():
     selector = IdentitySelector(religions=frozenset({Religion.MUSLIM}))
-    assert matches(selector, MUSLIM_SINGLE_MAN)
+    assert selector.matches(MUSLIM_SINGLE_MAN)
 
 
 def test_matches_multi_field():
@@ -117,8 +116,8 @@ def test_matches_multi_field():
     miss = Identity(
         Religion.HINDU, Gender.FEMALE, MaritalStatus.DIVORCED, Children.NO_CHILDREN
     )
-    assert matches(selector, hit)
-    assert not matches(selector, miss)
+    assert selector.matches(hit)
+    assert not selector.matches(miss)
 
 
 _identity_strategy = st.sampled_from(enumerate_identities())

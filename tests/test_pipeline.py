@@ -13,7 +13,13 @@ import biaslex
 from biaslex import corpus
 from biaslex.cli import main
 from biaslex.generation import HttpBackend, StubBackend
-from biaslex.identities import ApplicationKind, Language, PromptMethod
+from biaslex.identities import (
+    ApplicationKind,
+    Language,
+    PromptMethod,
+    enumerate_identities,
+    iter_applications,
+)
 from biaslex.pipeline import (
     ConfigError,
     RunConfig,
@@ -22,6 +28,7 @@ from biaslex.pipeline import (
     parse_config,
     pipeline_run,
 )
+from biaslex.prompts import render_application_prompt
 from biaslex.report import ReportFormat
 from biaslex.scoring import Scope
 
@@ -71,6 +78,10 @@ def test_parse_config_rejects_http_without_url(tmp_path):
         {"out_dir": "r", "detector": "magic"},
         {"out_dir": "r", "concurrency": 0},
         {"out_dir": "r", "generation": {"top_p": 2.0}},
+        {
+            "out_dir": "r",
+            "backend": {"url": "http://x/generate", "auth_env": "TOKEN", "timeout": 5},
+        },
         {},
     ],
 )
@@ -106,6 +117,39 @@ def test_pipeline_stage_error_names_the_stage(tmp_path):
     with pytest.raises(StageError) as excinfo:
         pipeline_run(config)
     assert excinfo.value.stage == "generate"
+
+
+def test_the_stub_backend_names_the_http_keys_it_refuses(tmp_path):
+    backend = {"kind": "stub", "max_retries": 1, "backoff": 0.1}
+    with pytest.raises(ConfigError, match="takes no backoff, max_retries;"):
+        parse_config({"out_dir": "r", "backend": backend}, base_dir=tmp_path)
+
+
+def test_a_run_whose_only_failures_are_empty_originals_resumes(tmp_path, monkeypatch):
+    empty = render_application_prompt(
+        enumerate_identities()[0], iter_applications()[0], Language.HINDI
+    )
+    calls = []
+
+    class OneEmptyOriginal(StubBackend):
+        def generate(self, prompt, config):
+            calls.append(prompt)
+            return "" if prompt == empty else super().generate(prompt, config)
+
+    monkeypatch.setattr(RunConfig, "make_backend", lambda c: OneEmptyOriginal(c.seed))
+    config = RunConfig(out_dir=tmp_path / "run", methods=list(PromptMethod))
+    failures = []
+    for _ in range(2):  # the first run and a resume
+        calls.clear()
+        summary = pipeline_run(config)
+        assert list(summary["stages"]) == [
+            "generate", "ingest", "score", "aggregate", "report"
+        ]
+        run_summary = json.loads((tmp_path / "run" / "run_summary.json").read_text())
+        failures.append(run_summary["failures"])
+    assert calls == []  # the resume had nothing to send
+    assert failures[0] == failures[1]
+    assert [f["error"] for f in failures[1]] == ["original output empty"] * 2
 
 
 @pytest.mark.parametrize("start", ["empty", "resumable", "cut-short"])
