@@ -218,13 +218,15 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_SEED_HELP = "replaces the config's seed"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biaslex",
         description="Lexicon-based intersectional bias evaluation pipeline",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
-    parser.add_argument("--seed", type=int, default=None, help="stub backend seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     prompts = sub.add_parser("prompts", help="render prompt matrices")
@@ -261,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate_sub = generate.add_subparsers(dest="subcommand", required=True)
     run = generate_sub.add_parser("run")
     run.add_argument("--config", required=True, help="run configuration")
+    run.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
     run.add_argument("--out", required=True)
     run.set_defaults(func=cmd_generate_run)
 
@@ -308,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pipeline = sub.add_parser("pipeline", help="run generate/ingest/score/aggregate/report")
     pipeline.add_argument("--config", required=True, help="run configuration")
+    pipeline.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
     pipeline.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -35,6 +35,9 @@ LanguageDetector = Callable[[str], str]
 APPLICATION_KIND_ORDER = {kind: i for i, kind in enumerate(ApplicationKind)}
 METHOD_ORDER = {method: i for i, method in enumerate(PromptMethod)}
 LANGUAGE_ORDER = {language: i for i, language in enumerate(Language)}
+# dict lookups instead of the Python-level EnumType.__call__ for each record
+_LANGUAGE_BY_VALUE = {language.value: language for language in Language}
+_METHOD_BY_VALUE = {method.value: method for method in PromptMethod}
 
 
 def corpus_order(pair: tuple[Language, PromptMethod]) -> tuple[int, int]:
@@ -81,10 +84,16 @@ class GenerationRecord:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GenerationRecord":
+        try:
+            language = _LANGUAGE_BY_VALUE[data["language"]]
+            method = _METHOD_BY_VALUE[data["method"]]
+        except (KeyError, TypeError):  # not a grid value; the enums say why
+            language = Language(data["language"])
+            method = PromptMethod(data["method"])
         return cls(
             record_id=data["record_id"],
-            language=Language(data["language"]),
-            method=PromptMethod(data["method"]),
+            language=language,
+            method=method,
             identity=Identity.from_json_dict(data["identity"]),
             application=Application.from_json_dict(data["application"]),
             prompt_text=data["prompt_text"],

@@ -22,6 +22,8 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from datetime import datetime, timezone
+from email.utils import parsedate_to_datetime
 from http.client import HTTPException
 from pathlib import Path
 from typing import Sequence
@@ -147,13 +149,19 @@ class StubBackend:
 
 
 def _retry_after(value: str | None, default: float, cap: float) -> float:
-    """Seconds to wait after a 429: its ``Retry-After`` when that is
-    delta-seconds (RFC 9110 section 10.2.3), at most ``cap``; ``default``
-    otherwise."""
+    """Seconds to wait after a 429, at most ``cap``: its ``Retry-After``
+    as delta-seconds or as an HTTP date, 0 once that date has passed
+    (RFC 9110 section 10.2.3); ``default`` when it is absent or neither."""
     value = (value or "").strip()
     if value.isascii() and value.isdigit():
         return min(int(value), cap)
-    return default
+    try:
+        when = parsedate_to_datetime(value)
+    except ValueError:
+        return default
+    if when.tzinfo is None:  # "-0000" or asctime form: UTC, unmarked
+        when = when.replace(tzinfo=timezone.utc)
+    return min(max((when - datetime.now(timezone.utc)).total_seconds(), 0.0), cap)
 
 
 class _RefuseRedirects(HTTPRedirectHandler):
@@ -404,20 +412,31 @@ def run_matrix(
     gen_config: GenerationConfig | None = None,
     trans_config: TranslationConfig | None = None,
     concurrency: int = 1,
+    summary: RunSummary | None = None,
 ) -> RunSummary:
     """Generate the full prompt matrix, originals before debias phases.
 
     Already-persisted records are skipped, so an interrupted run resumes
     from where it stopped. Per-cell failures are recorded and the run
-    continues; requesting a debias method with no originals available for
-    a language raises :class:`PrerequisiteMissingError`. When the run ends,
-    the sink is closed and calls not yet started are cancelled, so an
+    continues. A debias method for a language with no stored originals
+    raises :class:`BackendUnavailableError` when every original call for
+    that language in this run raised a backend error, and
+    :class:`PrerequisiteMissingError` otherwise. When the run ends, the
+    sink is closed and calls not yet started are cancelled, so an
     interrupt or an error waits only for the calls already running.
+
+    A ``summary`` passed in is filled in place, so the caller keeps the
+    counts and failures of a run that raised.
     """
     gen_config = gen_config or GenerationConfig()
     trans_config = trans_config or TranslationConfig()
-    summary = RunSummary(dropped_tail=sink.dropped_tail)
+    if summary is None:
+        summary = RunSummary()
+    summary.dropped_tail = sink.dropped_tail
     ordered_methods = [m for m in PromptMethod if m in set(methods)]
+    # language -> the last error, when each of its original calls in this
+    # run raised a backend error
+    unreachable: dict[Language, BackendError] = {}
 
     def generate(cell: GenerationRecord) -> GenerationRecord:
         raw = backend.generate(cell.prompt_text, gen_config)
@@ -438,6 +457,12 @@ def run_matrix(
         for language in languages:
             for method in ordered_methods:
                 if method.is_debias and not sink.has_originals(language):
+                    if language in unreachable:
+                        raise BackendUnavailableError(
+                            f"every original call for {language.value} failed, "
+                            f"so {method.value} debiasing cannot run; last "
+                            f"error: {unreachable[language]}"
+                        )
                     raise PrerequisiteMissingError(
                         f"no original generations for {language.value}; "
                         f"cannot run {method.value} debiasing"
@@ -447,6 +472,7 @@ def run_matrix(
                 # requests may run concurrently; results are persisted in cell
                 # order so re-runs produce byte-identical files
                 futures = [pool.submit(generate, cell) for cell in cells]
+                backend_errors, last_error = 0, None
                 for cell, future in zip(cells, futures):
                     try:
                         record = future.result()
@@ -456,9 +482,14 @@ def run_matrix(
                         summary.failures.append(
                             {"record_id": cell.record_id, "error": str(exc)}
                         )
+                        if isinstance(exc, BackendError):
+                            backend_errors += 1
+                            last_error = exc
                         continue
                     sink.append(record)
                     counts["generated"] += 1
+                if method is PromptMethod.ORIGINAL and backend_errors == len(cells) > 0:
+                    unreachable[language] = last_error
     finally:
         sink.close()
         pool.shutdown(cancel_futures=True)

@@ -8,24 +8,29 @@ methods.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from itertools import product
 
 
 class _GridEnum(enum.Enum):
-    """Base of the grid's enums: members hash by identity.
+    """Base of the grid's enums: members hash by identity, and ``value`` and
+    ``label`` are plain attribute reads.
 
     ``Enum.__hash__`` hashes the member's name in Python code, and every
     ``Identity`` or document-key hash calls it several times. Members are
     singletons compared by identity, so the object hash agrees with ``==``.
+    ``Enum.value`` goes through a Python-level descriptor on every read, and
+    serializing a record reads seven of them; ``attrgetter`` reads the same
+    ``_value_`` in C.
     """
 
     __hash__ = object.__hash__
+    value = property(operator.attrgetter("_value_"))
 
-    @property
-    def label(self) -> str:
-        """Display name: "no_children" -> "No children"."""
-        return self.value.replace("_", " ").capitalize()
+    def __init__(self, value: str) -> None:
+        #: Display name: "no_children" -> "No children".
+        self.label = value.replace("_", " ").capitalize()
 
 
 class Religion(_GridEnum):
@@ -149,6 +154,10 @@ class Application:
     @classmethod
     def from_json_dict(cls, data: dict[str, str]) -> "Application":
         location = data.get("story_location")
+        try:
+            return _APPLICATION_BY_VALUES[data["kind"], location]
+        except (KeyError, TypeError):  # not a grid value; the enums say why
+            pass
         return cls(
             kind=ApplicationKind(data["kind"]),
             story_location=StoryLocation(location) if location else None,
@@ -165,13 +174,21 @@ def iter_applications() -> list[Application]:
     return cells
 
 
+# the 6 canonical instances by their JSON values
+_APPLICATION_BY_VALUES = {
+    (app.kind.value, app.story_location.value if app.story_location else None): app
+    for app in iter_applications()
+}
+
+
 class LanguageFamily(_GridEnum):
     INDO_ARYAN = "indo_aryan"
     DRAVIDIAN = "dravidian"
 
-    @property
-    def label(self) -> str:
-        return "Indo-Aryan" if self is LanguageFamily.INDO_ARYAN else "Dravidian"
+    def __init__(self, value: str) -> None:
+        super().__init__(value)
+        if value == "indo_aryan":
+            self.label = "Indo-Aryan"
 
 
 class Language(_GridEnum):

@@ -138,6 +138,14 @@ class RunConfig:
     detector: str = "stub"
 
     def __post_init__(self) -> None:
+        if type(self.seed) is not int:  # bool is an int subclass
+            raise ConfigError(f"'seed' must be an integer, got {self.seed!r}")
+        if type(self.concurrency) is not int or self.concurrency < 1:
+            raise ConfigError("concurrency must be a positive integer")
+        if self.detector not in ("stub", "none"):
+            raise ConfigError(
+                f"detector must be 'stub' or 'none', got {self.detector!r}"
+            )
         _check_backend(self.backend)
 
     def make_backend(self) -> gen.Backend:
@@ -152,8 +160,20 @@ class RunConfig:
         return load_lexicon(self.lexicon_path)
 
 
+# how each top-level key that names grid values becomes a RunConfig value
+_PARSERS = {
+    "languages": lambda values: [Language(value) for value in values],
+    "methods": lambda values: [PromptMethod(value) for value in values],
+    "scope": scoring.Scope,
+}
+
+
 def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
-    """Build a :class:`RunConfig` from parsed JSON, rejecting unknown keys."""
+    """Build a :class:`RunConfig` from parsed JSON, rejecting unknown keys.
+
+    A key the JSON leaves out is not passed on, so it takes
+    :class:`RunConfig`'s default: each default is stated once.
+    """
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     if "expansion" in data:
@@ -162,37 +182,9 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
             "and point 'lexicon' at its output"
         )
     _reject_unknown(data, _TOP_LEVEL_KEYS, "config")
-    base = base_dir or Path.cwd()
-
-    generation_data = _block(data, "generation", _GENERATION_KEYS)
-    translation_data = _block(data, "translation", _TRANSLATION_KEYS)
-
-    for key in ("languages", "methods"):
-        if not isinstance(data.get(key, []), list):
-            raise ConfigError(f"{key!r} must be a list, got {data[key]!r}")
-    seed = data.get("seed", 0)
-    if type(seed) is not int:  # bool is an int subclass
-        raise ConfigError(f"'seed' must be an integer, got {seed!r}")
-
-    try:
-        languages = [Language(l) for l in data.get("languages", ["hindi"])]
-        methods = [PromptMethod(m) for m in data.get("methods", ["original"])]
-        scope = scoring.Scope(data.get("scope", "identity"))
-        generation_config = gen.GenerationConfig(**generation_data)
-        translation_config = gen.TranslationConfig(**translation_data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-    detector = data.get("detector", "stub")
-    if detector not in ("stub", "none"):
-        raise ConfigError(f"detector must be 'stub' or 'none', got {detector!r}")
-
-    concurrency = data.get("concurrency", 1)
-    if type(concurrency) is not int or concurrency < 1:  # bool is an int subclass
-        raise ConfigError("concurrency must be a positive integer")
-
     if data.get("out_dir") is None:
         raise ConfigError("config requires 'out_dir'")
+    base = base_dir or Path.cwd()
 
     def _path(key: str) -> Path | None:
         value = data.get(key)
@@ -203,19 +195,32 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
         path = Path(value)
         return path if path.is_absolute() else base / path
 
+    for key in ("languages", "methods"):
+        if not isinstance(data.get(key, []), list):
+            raise ConfigError(f"{key!r} must be a list, got {data[key]!r}")
+    generation_data = _block(data, "generation", _GENERATION_KEYS)
+    translation_data = _block(data, "translation", _TRANSLATION_KEYS)
+    values = {
+        key: data[key]
+        for key in ("seed", "backend", "concurrency", "detector")
+        if key in data
+    }
+    try:
+        for key, parse in _PARSERS.items():
+            if key in data:
+                values[key] = parse(data[key])
+        generation_config = gen.GenerationConfig(**generation_data)
+        translation_config = gen.TranslationConfig(**translation_data)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
     return RunConfig(
         out_dir=_path("out_dir"),
-        languages=languages,
-        methods=methods,
-        seed=seed,
-        backend=data.get("backend", {"kind": "stub"}),
         generation=generation_config,
         translation=translation_config,
-        concurrency=concurrency,
-        scope=scope,
         lexicon_path=_path("lexicon"),
         stopwords_path=_path("stopwords"),
-        detector=detector,
+        **values,
     )
 
 
@@ -237,21 +242,27 @@ def generate_stage(
     file order. Partial failures are tolerated and resumable; a run whose
     every backend call failed raises
     :class:`~biaslex.generation.BackendUnavailableError`, because the
-    backend never worked.
+    backend never worked. ``run_summary.json`` is written however the run
+    ends, so one stopped by an error or an interrupt keeps its per-cell
+    reasons.
     """
     out.mkdir(parents=True, exist_ok=True)
     sink = gen.RecordSink(out / "records.jsonl")
-    run = gen.run_matrix(
-        languages=config.languages,
-        methods=config.methods,
-        backend=config.make_backend(),
-        sink=sink,
-        gen_config=config.generation,
-        trans_config=config.translation,
-        concurrency=config.concurrency,
-    )
-    run_summary = run.to_json_dict()
-    write_json(out / "run_summary.json", run_summary)
+    run = gen.RunSummary()
+    try:
+        gen.run_matrix(
+            languages=config.languages,
+            methods=config.methods,
+            backend=config.make_backend(),
+            sink=sink,
+            gen_config=config.generation,
+            trans_config=config.translation,
+            concurrency=config.concurrency,
+            summary=run,
+        )
+    finally:
+        run_summary = run.to_json_dict()
+        write_json(out / "run_summary.json", run_summary)
     counts = run_summary["counts"]
     if run.failed_calls and not any(c["generated"] for c in counts.values()):
         raise gen.BackendUnavailableError(

@@ -14,6 +14,13 @@ whole pipeline is reproducible without model downloads. Its behaviour:
 
 Callers may inject any pure ``Callable[[str], str]`` in its place (see
 ``Lemmatizer``).
+
+Tokens are the lowercased text's Unicode letter runs, ``[^\\W\\d_]+``.
+English text is almost always ASCII once lowercased, and within ASCII that
+class is exactly ``[A-Za-z]``. So ASCII text is tokenized by mapping every
+other ASCII character to a space with ``str.translate`` and splitting on
+whitespace, which returns the same list as the regex at a fraction of its
+cost; any other text goes through the regex.
 """
 from __future__ import annotations
 
@@ -30,6 +37,10 @@ from .identities import Application, ApplicationKind
 Lemmatizer = Callable[[str], str]
 
 _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
+# every ASCII character outside _WORD_RE's class, which is [A-Za-z] in ASCII
+_ASCII_NON_LETTERS = str.maketrans(
+    {code: " " for code in range(128) if not chr(code).isalpha()}
+)
 
 HOBBIES_FRAME_LEMMAS = frozenset({"personal", "value", "interest"})
 STORY_LOCATION_LEMMAS = frozenset({"home", "school", "workplace", "hospital"})
@@ -77,7 +88,10 @@ def normalize_text(text: str) -> str:
 
 def tokenize(text: str) -> list[str]:
     """Lowercase and split into Unicode letter runs (digits dropped)."""
-    return _WORD_RE.findall(text.lower())
+    text = text.lower()
+    if text.isascii():
+        return text.translate(_ASCII_NON_LETTERS).split()
+    return _WORD_RE.findall(text)
 
 
 def _lemmatize_step(token: str) -> str:

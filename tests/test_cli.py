@@ -177,6 +177,52 @@ def test_generate_run_unreachable_endpoint(tmp_path):
     assert summary["counts"]["hindi/original"]["failed"] == 288
 
 
+@pytest.mark.parametrize("command", ["pipeline", "generate"])
+def test_a_dead_backend_exits_2_with_every_reason_on_disk(tmp_path, capsys, command):
+    config = tmp_path / "config.json"
+    out = tmp_path / "o"
+    config.write_text(
+        json.dumps(
+            {
+                "out_dir": str(out),
+                "languages": ["hindi"],
+                "methods": ["original", "simple", "complex"],
+                "backend": {
+                    "kind": "http",
+                    "url": "http://127.0.0.1:9",
+                    "max_retries": 1,
+                    "backoff": 0.01,
+                },
+                "concurrency": 4,
+            }
+        )
+    )
+    argv = ["pipeline", "--config", str(config)]
+    if command == "generate":
+        argv = ["generate", "run", "--config", str(config), "--out", str(out)]
+    assert run_cli(*argv) == 2
+    diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "every original call for hindi failed" in diagnostic["message"]
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert summary["counts"]["hindi/original"]["failed"] == 288
+    assert len(summary["failures"]) == 288
+    assert all(
+        f["error"].startswith("backend unreachable after 2 attempts")
+        for f in summary["failures"]
+    )
+
+
+def test_debias_only_without_originals_is_still_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out_dir": "unused", "methods": ["simple"]}))
+    out = tmp_path / "gen"
+    code = run_cli("generate", "run", "--config", str(config), "--out", str(out))
+    assert code == 1
+    diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diagnostic["error"] == "PrerequisiteMissingError"
+    assert json.loads((out / "run_summary.json").read_text())["counts"] == {}
+
+
 def test_generate_run_refuses_a_corrupt_record_file(stub_run, tmp_path, capsys):
     _, config, out = stub_run
     lines = (out / "records.jsonl").read_bytes().splitlines(keepends=True)
@@ -367,11 +413,23 @@ def test_seed_flag_reaches_the_stub(tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"out_dir": "unused", "seed": config_seed}))
         out = tmp_path / f"gen-{config_seed}-{len(flags)}"
-        argv = [*flags, "generate", "run", "--config", str(config), "--out", str(out)]
+        argv = ["generate", "run", "--config", str(config), "--out", str(out), *flags]
         assert run_cli(*argv) == 0
         return (out / "records.jsonl").read_bytes()
 
     assert records(3, "--seed", "8") == records(8) != records(3)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed", "3", "lexicon", "validate", str(seed_lexicon_path())],
+        ["lexicon", "validate", str(seed_lexicon_path()), "--seed", "3"],
+        ["--seed", "3", "pipeline", "--config", "run.json"],
+    ],
+)
+def test_only_generation_commands_take_a_seed(argv):
+    assert run_cli(*argv) == 1
 
 
 def test_pipeline_without_config():

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -356,3 +357,35 @@ def test_corpus_dir_round_trip(tmp_path):
     assert list(original.documents) == list(twin.documents)
     for key in original.documents:
         assert original.documents[key].tokens == twin.documents[key].tokens
+
+
+def test_record_from_json_returns_the_canonical_grid_values():
+    app = iter_applications()[3]
+    for language in Language:
+        for method in PromptMethod:
+            record = make_record(
+                enumerate_identities()[5], app, "text", method, language, "r"
+            )
+            parsed = GenerationRecord.from_json_dict(record.to_json_dict())
+            assert parsed == record
+            assert parsed.language is language and parsed.method is method
+            again = GenerationRecord.from_json_dict(record.to_json_dict())
+            assert again.identity is parsed.identity
+            assert again.application is parsed.application
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("language", "klingon", "'klingon' is not a valid Language"),
+        ("language", "Hindi", "'Hindi' is not a valid Language"),
+        ("language", ["hindi"], "is not a valid Language"),
+        ("method", "telepathy", "'telepathy' is not a valid PromptMethod"),
+        ("method", None, "None is not a valid PromptMethod"),
+    ],
+)
+def test_record_from_json_refuses_a_value_off_the_grid(field, value, message):
+    data = make_record(enumerate_identities()[0], iter_applications()[0], "x")
+    data = {**data.to_json_dict(), field: value}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GenerationRecord.from_json_dict(data)

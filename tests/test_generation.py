@@ -6,6 +6,8 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from datetime import datetime, timedelta, timezone
+from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
 from urllib.error import HTTPError
@@ -23,8 +25,10 @@ from biaslex.generation import (
     MalformedResponseError,
     PrerequisiteMissingError,
     RecordSink,
+    RunSummary,
     StubBackend,
     TranslationConfig,
+    _retry_after,
     record_id_for,
     run_matrix,
 )
@@ -425,11 +429,34 @@ def test_http_backend_does_not_follow_a_redirect_elsewhere(http_server, monkeypa
     assert _Elsewhere.seen == []
 
 
-def test_http_backend_backs_off_when_retry_after_is_a_date(http_server, sleeps):
-    _Handler.script = ["rate-limited-until"]
+def test_http_backend_does_not_wait_for_a_retry_after_date_gone_by(
+    http_server, sleeps
+):
+    _Handler.script = ["rate-limited-until"]  # a date in 2015
     backend = HttpBackend(url=http_server, max_retries=1, backoff=0.5)
     assert backend.generate("x", GenerationConfig()) == "echo: x"
-    assert sleeps == [0.5]
+    assert sleeps == [0.0]
+
+
+def test_retry_after_reads_seconds_and_http_dates():
+    now = datetime.now(timezone.utc)
+
+    def http_date(seconds: float) -> str:
+        return format_datetime(now + timedelta(seconds=seconds), usegmt=True)
+
+    assert _retry_after("7", 0.5, 30) == 7
+    assert _retry_after(" 7 ", 0.5, 30) == 7
+    assert _retry_after("9" * 20, 0.5, 30) == 30
+    assert 18 < _retry_after(http_date(20), 0.5, 30) <= 20
+    assert _retry_after(http_date(120), 0.5, 30) == 30  # capped as seconds are
+    assert _retry_after(http_date(-120), 0.5, 30) == 0  # already passed
+    # the obsolete forms RFC 9110 still asks recipients to accept
+    later = now + timedelta(seconds=20)
+    asctime = later.strftime("%a %b %d %H:%M:%S %Y")
+    assert 18 < _retry_after(asctime, 0.5, 30) <= 20
+    assert 18 < _retry_after(format_datetime(later), 0.5, 30) <= 20  # "-0000"
+    for value in (None, "", "soon", "-3", "1.5", "Wed, 99 Oct 2015 07:28:00 GMT"):
+        assert _retry_after(value, 0.5, 30) == 0.5
 
 
 def test_http_backend_unreachable_host():
@@ -581,6 +608,36 @@ def test_sink_keeps_one_handle_and_reopens_after_close(tmp_path):
     sink.append(records[2])
     sink.close()
     assert read_records(target) == records[:3]
+
+
+class _DeadBackend(StubBackend):
+    def __init__(self, error: Exception):
+        super().__init__()
+        self.error = error
+
+    def generate(self, prompt, config):
+        raise self.error
+
+
+def test_debias_after_every_original_call_failed_is_a_backend_failure(tmp_path):
+    sink = RecordSink(tmp_path / "records.jsonl")
+    summary = RunSummary()
+    backend = _DeadBackend(BackendUnavailableError("connection refused"))
+    methods = [PromptMethod.ORIGINAL, PromptMethod.SIMPLE_DEBIAS]
+    with pytest.raises(BackendUnavailableError, match="connection refused"):
+        run_matrix([Language.HINDI], methods, backend, sink, summary=summary)
+    # the summary passed in holds what the run did before it stopped
+    assert summary.counts["hindi/original"]["failed"] == 288
+    assert len(summary.failures) == 288
+
+
+def test_debias_after_failures_that_are_not_the_backends_needs_originals(tmp_path):
+    sink = RecordSink(tmp_path / "records.jsonl")
+    methods = [PromptMethod.ORIGINAL, PromptMethod.SIMPLE_DEBIAS]
+    with pytest.raises(PrerequisiteMissingError):
+        run_matrix(
+            [Language.HINDI], methods, _DeadBackend(RuntimeError("bug")), sink
+        )
 
 
 def test_run_matrix_closes_the_sink(tmp_path):

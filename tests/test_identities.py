@@ -1,3 +1,6 @@
+import pickle
+import re
+
 import pytest
 
 from biaslex.identities import (
@@ -61,24 +64,84 @@ def test_identity_from_json_refuses_a_value_off_the_grid(field, value):
         Identity.from_json_dict(data)
 
 
+# every grid member's value and label, in declaration order
+_GRID = {
+    Religion: {"hindu": "Hindu", "muslim": "Muslim"},
+    Gender: {"male": "Male", "female": "Female"},
+    MaritalStatus: {
+        "married": "Married",
+        "divorced": "Divorced",
+        "widowed": "Widowed",
+        "single": "Single",
+    },
+    Children: {
+        "no_children": "No children",
+        "one_child": "One child",
+        "many_children": "Many children",
+    },
+    ApplicationKind: {
+        "todo_list": "Todo list",
+        "hobbies_values": "Hobbies values",
+        "story": "Story",
+    },
+    StoryLocation: {
+        "home": "Home",
+        "school": "School",
+        "workplace": "Workplace",
+        "hospital": "Hospital",
+    },
+    LanguageFamily: {"indo_aryan": "Indo-Aryan", "dravidian": "Dravidian"},
+    Language: {
+        "hindi": "Hindi",
+        "urdu": "Urdu",
+        "bengali": "Bengali",
+        "punjabi": "Punjabi",
+        "marathi": "Marathi",
+        "gujarati": "Gujarati",
+        "telugu": "Telugu",
+        "kannada": "Kannada",
+        "malayalam": "Malayalam",
+        "tamil": "Tamil",
+    },
+    PromptMethod: {"original": "Original", "simple": "Simple", "complex": "Complex"},
+}
+
+
+@pytest.mark.parametrize("grid_enum", list(_GRID))
+def test_grid_enum_members_keep_their_values_labels_hashes_and_pickles(grid_enum):
+    assert {m.value: m.label for m in grid_enum} == _GRID[grid_enum]
+    assert [m.value for m in grid_enum] == list(_GRID[grid_enum])
+    for member in grid_enum:
+        assert member.value == member._value_
+        assert grid_enum(member.value) is member
+        assert hash(member) == object.__hash__(member)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(member, protocol)) is member
+
+
+def test_application_from_json_returns_the_canonical_instances():
+    for app in iter_applications():
+        parsed = Application.from_json_dict(app.to_json_dict())
+        assert parsed == app
+        # one shared instance per cell, not a new one per record
+        assert Application.from_json_dict(dict(app.to_json_dict())) is parsed
+    # an empty location reads as none, as it always has
+    todo = Application.from_json_dict({"kind": "todo_list", "story_location": ""})
+    assert todo == iter_applications()[0]
+
+
 @pytest.mark.parametrize(
-    "grid_enum",
+    "data, message",
     [
-        Religion,
-        Gender,
-        MaritalStatus,
-        Children,
-        ApplicationKind,
-        StoryLocation,
-        LanguageFamily,
-        Language,
-        PromptMethod,
+        ({"kind": "poem"}, "'poem' is not a valid ApplicationKind"),
+        ({"kind": "story", "story_location": "park"}, "'park' is not a valid"),
+        ({"kind": ["story"]}, "is not a valid ApplicationKind"),
+        ({"kind": "todo_list", "story_location": "home"}, "only valid for story"),
     ],
 )
-def test_grid_enums_hash_by_identity(grid_enum):
-    for member in grid_enum:
-        assert hash(member) == object.__hash__(member)
-        assert member == grid_enum(member.value)
+def test_application_from_json_refuses_a_value_off_the_grid(data, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Application.from_json_dict(data)
 
 
 def test_surface_labels():

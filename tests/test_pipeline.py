@@ -24,6 +24,7 @@ from biaslex.pipeline import (
     ConfigError,
     RunConfig,
     StageError,
+    generate_stage,
     load_config,
     parse_config,
     pipeline_run,
@@ -37,9 +38,10 @@ SRC = str(Path(biaslex.__file__).resolve().parent.parent)
 
 def test_parse_config_defaults(tmp_path):
     config = parse_config({"out_dir": "run"}, base_dir=tmp_path)
-    assert config.out_dir == tmp_path / "run"
+    # every key left out takes RunConfig's own default
+    assert config == RunConfig(out_dir=tmp_path / "run")
     assert config.languages == [Language.HINDI]
-    assert config.methods == [PromptMethod.ORIGINAL]
+    assert config.methods == list(PromptMethod)
     assert config.scope is Scope.IDENTITY_SCOPED
     assert isinstance(config.make_backend(), StubBackend)
 
@@ -117,6 +119,24 @@ def test_pipeline_stage_error_names_the_stage(tmp_path):
     with pytest.raises(StageError) as excinfo:
         pipeline_run(config)
     assert excinfo.value.stage == "generate"
+
+
+def test_an_interrupted_generation_leaves_its_run_summary(tmp_path, monkeypatch):
+    calls = []
+
+    class InterruptedStub(StubBackend):
+        def generate(self, prompt, config):
+            calls.append(prompt)
+            if len(calls) == 20:
+                raise KeyboardInterrupt
+            return super().generate(prompt, config)
+
+    monkeypatch.setattr(RunConfig, "make_backend", lambda c: InterruptedStub(c.seed))
+    config = RunConfig(out_dir=tmp_path / "run")
+    with pytest.raises(KeyboardInterrupt):
+        generate_stage(config, config.out_dir)
+    summary = json.loads((config.out_dir / "run_summary.json").read_text())
+    assert summary["counts"]["hindi/original"]["generated"] == 19
 
 
 def test_the_stub_backend_names_the_http_keys_it_refuses(tmp_path):

@@ -51,6 +51,43 @@ def test_tokenize_lowercases_and_drops_digits():
     ]
 
 
+_WORD_RE = re.compile(r"[^\W\d_]+")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text())
+def test_tokenize_equals_the_regex_on_any_text(text):
+    assert tokenize(text) == _WORD_RE.findall(text.lower())
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.text(
+        alphabet=st.sampled_from(
+            "aZq \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x00\x7f_-'.,09"
+        )
+    )
+    | st.text(alphabet=st.characters(max_codepoint=127))
+)
+def test_tokenize_equals_the_regex_on_ascii_text(text):
+    assert text.isascii()
+    assert tokenize(text) == _WORD_RE.findall(text.lower())
+
+
+def test_tokenize_treats_every_ascii_character_as_the_regex_does():
+    for code in range(128):
+        char = chr(code)
+        for text in (char, f"ab{char}cd", f"{char}Ab{char}{char}C{char}"):
+            assert tokenize(text) == _WORD_RE.findall(text.lower()), repr(text)
+
+
+def test_tokenize_keeps_non_ascii_letters():
+    # text that is not ASCII once lowercased goes through the regex
+    assert tokenize("Café naïve x\u0663y ÉTÉ") == ["café", "naïve", "x", "y", "été"]
+    # the Kelvin sign lowercases to ASCII "k"
+    assert tokenize("5\u212aM") == ["km"]
+
+
 def test_lemmatizer_rules():
     assert rule_lemmatize("children") == "child"
     assert rule_lemmatize("activities") == "activity"
