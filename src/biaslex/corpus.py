@@ -35,9 +35,6 @@ LanguageDetector = Callable[[str], str]
 APPLICATION_KIND_ORDER = {kind: i for i, kind in enumerate(ApplicationKind)}
 METHOD_ORDER = {method: i for i, method in enumerate(PromptMethod)}
 LANGUAGE_ORDER = {language: i for i, language in enumerate(Language)}
-# dict lookups instead of the Python-level EnumType.__call__ for each record
-_LANGUAGE_BY_VALUE = {language.value: language for language in Language}
-_METHOD_BY_VALUE = {method.value: method for method in PromptMethod}
 
 
 def corpus_order(pair: tuple[Language, PromptMethod]) -> tuple[int, int]:
@@ -84,16 +81,10 @@ class GenerationRecord:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GenerationRecord":
-        try:
-            language = _LANGUAGE_BY_VALUE[data["language"]]
-            method = _METHOD_BY_VALUE[data["method"]]
-        except (KeyError, TypeError):  # not a grid value; the enums say why
-            language = Language(data["language"])
-            method = PromptMethod(data["method"])
         return cls(
             record_id=data["record_id"],
-            language=language,
-            method=method,
+            language=Language.from_value(data["language"]),
+            method=PromptMethod.from_value(data["method"]),
             identity=Identity.from_json_dict(data["identity"]),
             application=Application.from_json_dict(data["application"]),
             prompt_text=data["prompt_text"],
@@ -138,10 +129,10 @@ class DocumentKey:
     @classmethod
     def from_json_dict(cls, data: dict) -> "DocumentKey":
         return cls(
-            language=Language(data["language"]),
-            method=PromptMethod(data["method"]),
+            language=Language.from_value(data["language"]),
+            method=PromptMethod.from_value(data["method"]),
             identity=Identity.from_json_dict(data["identity"]),
-            application=ApplicationKind(data["application"]),
+            application=ApplicationKind.from_value(data["application"]),
         )
 
 

@@ -157,7 +157,7 @@ def _retry_after(value: str | None, default: float, cap: float) -> float:
         return min(int(value), cap)
     try:
         when = parsedate_to_datetime(value)
-    except ValueError:
+    except (ValueError, OverflowError):  # a field out of range, e.g. a 20-digit year
         return default
     if when.tzinfo is None:  # "-0000" or asctime form: UTC, unmarked
         when = when.replace(tzinfo=timezone.utc)
@@ -434,9 +434,6 @@ def run_matrix(
         summary = RunSummary()
     summary.dropped_tail = sink.dropped_tail
     ordered_methods = [m for m in PromptMethod if m in set(methods)]
-    # language -> the last error, when each of its original calls in this
-    # run raised a backend error
-    unreachable: dict[Language, BackendError] = {}
 
     def generate(cell: GenerationRecord) -> GenerationRecord:
         raw = backend.generate(cell.prompt_text, gen_config)
@@ -455,13 +452,16 @@ def run_matrix(
     pool = ThreadPoolExecutor(max_workers=concurrency)
     try:
         for language in languages:
+            # the last backend error, when every original call for the
+            # language in this run raised one
+            original_error = None
             for method in ordered_methods:
                 if method.is_debias and not sink.has_originals(language):
-                    if language in unreachable:
+                    if original_error is not None:
                         raise BackendUnavailableError(
                             f"every original call for {language.value} failed, "
                             f"so {method.value} debiasing cannot run; last "
-                            f"error: {unreachable[language]}"
+                            f"error: {original_error}"
                         )
                     raise PrerequisiteMissingError(
                         f"no original generations for {language.value}; "
@@ -472,7 +472,7 @@ def run_matrix(
                 # requests may run concurrently; results are persisted in cell
                 # order so re-runs produce byte-identical files
                 futures = [pool.submit(generate, cell) for cell in cells]
-                backend_errors, last_error = 0, None
+                backend_errors = []
                 for cell, future in zip(cells, futures):
                     try:
                         record = future.result()
@@ -483,13 +483,13 @@ def run_matrix(
                             {"record_id": cell.record_id, "error": str(exc)}
                         )
                         if isinstance(exc, BackendError):
-                            backend_errors += 1
-                            last_error = exc
+                            backend_errors.append(exc)
                         continue
                     sink.append(record)
                     counts["generated"] += 1
-                if method is PromptMethod.ORIGINAL and backend_errors == len(cells) > 0:
-                    unreachable[language] = last_error
+                if method is PromptMethod.ORIGINAL and cells:
+                    if len(backend_errors) == len(cells):
+                        original_error = backend_errors[-1]
     finally:
         sink.close()
         pool.shutdown(cancel_futures=True)

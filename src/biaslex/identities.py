@@ -32,6 +32,15 @@ class _GridEnum(enum.Enum):
         #: Display name: "no_children" -> "No children".
         self.label = value.replace("_", " ").capitalize()
 
+    @classmethod
+    def from_value(cls, value: str):
+        """The member with this value: a dict lookup where ``cls(value)`` runs
+        ``EnumType.__call__`` in Python. Other values raise its ``ValueError``."""
+        try:
+            return cls._value2member_map_[value]
+        except (KeyError, TypeError):
+            return cls(value)
+
 
 class Religion(_GridEnum):
     HINDU = "hindu"

@@ -16,11 +16,11 @@ Callers may inject any pure ``Callable[[str], str]`` in its place (see
 ``Lemmatizer``).
 
 Tokens are the lowercased text's Unicode letter runs, ``[^\\W\\d_]+``.
-English text is almost always ASCII once lowercased, and within ASCII that
-class is exactly ``[A-Za-z]``. So ASCII text is tokenized by mapping every
-other ASCII character to a space with ``str.translate`` and splitting on
-whitespace, which returns the same list as the regex at a fraction of its
-cost; any other text goes through the regex.
+Within ASCII that class is exactly ``[A-Za-z]``. So text that is ASCII once
+lowercased is tokenized by mapping every other ASCII character to a space
+with ``str.translate`` and splitting on whitespace, which returns the same
+list as the regex at a fraction of its cost. Any other text, including
+English with a single curly quote or em dash, goes through the regex.
 """
 from __future__ import annotations
 

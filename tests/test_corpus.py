@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from biaslex.corpus import (
     CleaningSummary,
     Corpus,
+    DocumentKey,
     GenerationRecord,
     build_corpus,
     clean_records,
@@ -389,3 +390,32 @@ def test_record_from_json_refuses_a_value_off_the_grid(field, value, message):
     data = {**data.to_json_dict(), field: value}
     with pytest.raises(ValueError, match=re.escape(message)):
         GenerationRecord.from_json_dict(data)
+
+
+def test_document_key_from_json_returns_the_canonical_grid_values():
+    for language in Language:
+        for method in PromptMethod:
+            for app in iter_applications():
+                record = make_record(
+                    enumerate_identities()[7], app, "x", method, language, "r"
+                )
+                key = document_key_for(record)
+                parsed = DocumentKey.from_json_dict(key.to_json_dict())
+                assert parsed == key
+                assert parsed.language is language and parsed.method is method
+                assert parsed.application is app.kind
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("language", "klingon", "'klingon' is not a valid Language"),
+        ("method", None, "None is not a valid PromptMethod"),
+        ("application", "poem", "'poem' is not a valid ApplicationKind"),
+    ],
+)
+def test_document_key_from_json_refuses_a_value_off_the_grid(field, value, message):
+    record = make_record(enumerate_identities()[0], iter_applications()[0], "x")
+    data = {**document_key_for(record).to_json_dict(), field: value}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DocumentKey.from_json_dict(data)

@@ -455,7 +455,18 @@ def test_retry_after_reads_seconds_and_http_dates():
     asctime = later.strftime("%a %b %d %H:%M:%S %Y")
     assert 18 < _retry_after(asctime, 0.5, 30) <= 20
     assert 18 < _retry_after(format_datetime(later), 0.5, 30) <= 20  # "-0000"
-    for value in (None, "", "soon", "-3", "1.5", "Wed, 99 Oct 2015 07:28:00 GMT"):
+    invalid = (
+        None,
+        "",
+        "soon",
+        "-3",
+        "1.5",
+        "Wed, 99 Oct 2015 07:28:00 GMT",
+        "Wed, 21 Oct 99999999999999999999 07:28:00 GMT",  # year overflows a C long
+        "Wed, 21 Oct 2015 07:28:00 +99999999999999999999",  # zone overflows a C int
+        "Wed, 21 Oct 2015 07:28:00 +9999",  # zone of 24 hours or more
+    )
+    for value in invalid:
         assert _retry_after(value, 0.5, 30) == 0.5
 
 

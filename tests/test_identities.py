@@ -114,9 +114,20 @@ def test_grid_enum_members_keep_their_values_labels_hashes_and_pickles(grid_enum
     for member in grid_enum:
         assert member.value == member._value_
         assert grid_enum(member.value) is member
+        assert grid_enum.from_value(member.value) is member
         assert hash(member) == object.__hash__(member)
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             assert pickle.loads(pickle.dumps(member, protocol)) is member
+
+
+@pytest.mark.parametrize("grid_enum", list(_GRID))
+@pytest.mark.parametrize("value", ["nowhere", "", None, ["hindi"], 0])
+def test_grid_enum_from_value_refuses_as_the_constructor_does(grid_enum, value):
+    with pytest.raises(ValueError) as expected:
+        grid_enum(value)
+    with pytest.raises(ValueError) as raised:
+        grid_enum.from_value(value)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_application_from_json_returns_the_canonical_instances():
