@@ -11,13 +11,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import aggregate as agg
 from . import corpus as corpus_mod
 from . import generation as gen
 from . import report as report_mod
 from . import scoring
-from .artifacts import atomic_open, write_jsonl
-from .identities import ApplicationKind, Language, PromptMethod
+from .artifacts import write_jsonl
+from .identities import Language, PromptMethod
 from .lexicon import (
     LexiconError,
     TableSimilarityOracle,
@@ -30,11 +29,14 @@ from .lexicon import (
 )
 from .pipeline import (
     ConfigError,
+    RunConfig,
     StageError,
+    aggregate_stage,
     generate_stage,
     ingest_stage,
     load_config,
     pipeline_run,
+    report_stage,
     score_stage,
 )
 from .prompts import (
@@ -77,9 +79,12 @@ def _parse_methods(raw: str) -> list[PromptMethod]:
         if not token:
             continue
         try:
-            methods.append(PromptMethod(token))
+            method = PromptMethod(token)
         except ValueError:
             raise ValueError(f"unknown method {token!r}") from None
+        if method in methods:
+            raise ValueError(f"--methods repeats {token!r}")
+        methods.append(method)
     if not methods:
         raise ValueError("no methods given")
     return methods
@@ -142,11 +147,14 @@ def cmd_lexicon_expand(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_generate_run(args: argparse.Namespace) -> int:
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The run configuration at ``--config``, with ``--seed`` applied."""
     config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    counts, _ = generate_stage(config, Path(args.out))
+    return config if args.seed is None else replace(config, seed=args.seed)
+
+
+def cmd_generate_run(args: argparse.Namespace) -> int:
+    counts, _ = generate_stage(_run_config(args), Path(args.out))
     if not args.quiet:
         print(json.dumps(counts, indent=2, sort_keys=True))
     return EXIT_OK
@@ -168,51 +176,41 @@ def cmd_score(args: argparse.Namespace) -> int:
     corpora = corpus_mod.read_corpus_dir(args.corpus)
     if not corpora:
         raise FileNotFoundError(f"no corpus_*.jsonl files in {args.corpus}")
-    cells, overall_rows = score_stage(
-        corpora, load_lexicon(args.lexicon), scoring.Scope(args.scope)
-    )
-    scoring.write_scores(cells, args.out)
-    if args.overall_out:
-        scoring.write_overall_terms(overall_rows, args.overall_out)
+    lexicon, scope = load_lexicon(args.lexicon), scoring.Scope(args.scope)
+    cells, _ = score_stage(corpora, lexicon, scope, args.out, args.overall_out)
     if not args.quiet:
         print(f"scored {len(cells)} documents to {args.out}")
     return EXIT_OK
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    cells = scoring.read_scores(args.scores)
-    axis = agg.SeriesAxis(args.axis)
-    application = ApplicationKind(args.application) if args.application else None
-    results = agg.series(cells, axis, application)
-    count = agg.write_averages_csv(results, args.out)
+    paths = aggregate_stage(scoring.read_scores(args.scores), Path(args.out))
     if not args.quiet:
-        print(f"wrote {count} averages to {args.out}")
+        print(f"wrote {len(paths)} averages files to {args.out}")
     return EXIT_OK
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    if not args.scores and not args.overall:
-        raise ValueError("report requires --scores and/or --overall")
-    cells = scoring.read_scores(args.scores) if args.scores else None
-    overall = scoring.read_overall_terms(args.overall) if args.overall else None
-    table = report_mod.build_report(
+    cells = scoring.read_scores(args.scores)
+    if not cells:
+        raise ValueError(f"no score rows in {args.scores}")
+    # the languages and methods scored, in canonical order
+    languages = {cell.key.language for cell in cells}
+    methods = {cell.key.method for cell in cells}
+    paths = report_stage(
         cells,
-        overall,
-        _parse_language(args.language),
-        ApplicationKind(args.application),
-        PromptMethod(args.method),
+        scoring.read_overall_terms(args.overall),
+        [language for language in Language if language in languages],
+        [method for method in PromptMethod if method in methods],
+        Path(args.out),
     )
-    rendered = report_mod.render_table(table, report_mod.ReportFormat(args.format))
-    with atomic_open(args.out) as handle:
-        handle.write(rendered)
     if not args.quiet:
-        print(f"wrote report to {args.out}")
+        print(f"wrote {len(paths)} reports to {args.out}")
     return EXIT_OK
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    summary = pipeline_run(config, seed_override=args.seed)
+    summary = pipeline_run(_run_config(args))
     if not args.quiet:
         print(f"pipeline complete; artifacts under {summary['out_dir']}")
     return EXIT_OK
@@ -279,34 +277,20 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--lexicon", default=str(seed_lexicon_path()))
     score.add_argument("--scope", choices=["identity", "all"], default="identity")
     score.add_argument("--out", required=True)
-    score.add_argument("--overall-out", default=None)
+    score.add_argument("--overall-out", required=True)
     score.set_defaults(func=cmd_score)
 
-    aggregate = sub.add_parser("aggregate", help="average scores along an axis")
+    aggregate = sub.add_parser(
+        "aggregate", help="average scores along every axis, per application"
+    )
     aggregate.add_argument("--scores", required=True)
-    aggregate.add_argument(
-        "--axis", required=True, choices=[a.value for a in agg.SeriesAxis]
-    )
-    aggregate.add_argument(
-        "--application",
-        default=None,
-        choices=[k.value for k in ApplicationKind],
-    )
-    aggregate.add_argument("--out", required=True)
+    aggregate.add_argument("--out", required=True, help="averages directory")
     aggregate.set_defaults(func=cmd_aggregate)
 
-    report = sub.add_parser("report", help="render a per-identity table")
-    report.add_argument("--scores", default=None)
-    report.add_argument("--overall", default=None)
-    report.add_argument("--language", required=True)
-    report.add_argument(
-        "--application", required=True, choices=[k.value for k in ApplicationKind]
-    )
-    report.add_argument(
-        "--method", required=True, choices=[m.value for m in PromptMethod]
-    )
-    report.add_argument("--format", required=True, choices=["csv", "md", "html"])
-    report.add_argument("--out", required=True)
+    report = sub.add_parser("report", help="render every per-identity table")
+    report.add_argument("--scores", required=True)
+    report.add_argument("--overall", required=True)
+    report.add_argument("--out", required=True, help="reports directory")
     report.set_defaults(func=cmd_report)
 
     pipeline = sub.add_parser("pipeline", help="run generate/ingest/score/aggregate/report")
@@ -344,7 +328,6 @@ def main(argv: list[str] | None = None) -> int:
         ConfigError,
         LexiconError,
         PromptError,
-        agg.NoMatchingCellsError,
         report_mod.ReportError,
         scoring.EmptyCorpusError,
         gen.PrerequisiteMissingError,

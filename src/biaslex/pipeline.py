@@ -1,16 +1,16 @@
 """End-to-end run: generate, ingest, score, aggregate, report.
 
-Every stage materializes its artifacts on disk so any number can be
-re-checked or re-run in isolation. ``pipeline_run`` hands the records it
-generated or loaded straight to ingest, so ``records.jsonl`` is parsed once
-per run; ``biaslex ingest`` reads the same records from the file, and both
-write the same bytes.
+Each stage is one function here that computes its artifacts and writes
+them; ``pipeline_run`` and the ``biaslex`` subcommands only pick the paths,
+so chaining the subcommands writes ``pipeline_run``'s bytes.
+``pipeline_run`` hands the records it generated or loaded straight to
+ingest, so ``records.jsonl`` is parsed once per run.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import aggregate as agg
@@ -138,6 +138,13 @@ class RunConfig:
     detector: str = "stub"
 
     def __post_init__(self) -> None:
+        for key in ("languages", "methods"):
+            values = getattr(self, key)
+            if not values:
+                raise ConfigError(f"{key!r} must not be empty")
+            repeated = {v.value for i, v in enumerate(values) if v in values[:i]}
+            if repeated:
+                raise ConfigError(f"{key!r} repeats {', '.join(sorted(repeated))}")
         if type(self.seed) is not int:  # bool is an int subclass
             raise ConfigError(f"'seed' must be an integer, got {self.seed!r}")
         if type(self.concurrency) is not int or self.concurrency < 1:
@@ -296,17 +303,40 @@ def score_stage(
     corpora: dict[tuple[Language, PromptMethod], corpus_mod.Corpus],
     lexicon: BiasLexicon,
     scope: scoring.Scope,
+    scores_path: str | Path,
+    overall_path: str | Path,
 ) -> tuple[list[scoring.ScoreCell], list]:
-    """Score every corpus, in canonical language then method order.
-
-    Returns the bias-score cells and the overall top-term rows.
+    """Score every corpus, in canonical language then method order; write the
+    bias-score cells to ``scores_path`` and the overall top-term rows to
+    ``overall_path``, and return both.
     """
     cells: list[scoring.ScoreCell] = []
     overall_rows = []
     for key in sorted(corpora, key=corpus_mod.corpus_order):
         cells.extend(scoring.score_corpus(corpora[key], lexicon, scope))
         overall_rows.extend(scoring.overall_top_terms(corpora[key]))
+    scoring.write_scores(cells, scores_path)
+    scoring.write_overall_terms(overall_rows, overall_path)
     return cells, overall_rows
+
+
+def aggregate_stage(cells: list[scoring.ScoreCell], out_dir: Path) -> list[Path]:
+    """Write ``averages_<axis>.csv`` under ``out_dir`` for every axis.
+
+    Each file holds the axis's series for every application in turn; pooled
+    series are :func:`biaslex.aggregate.series` without an application.
+    Returns the paths written.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for axis in agg.SeriesAxis:
+        results = []
+        for app in ApplicationKind:
+            results.extend(agg.series(cells, axis, app))
+        path = out_dir / f"averages_{axis.value}.csv"
+        agg.write_averages_csv(results, path)
+        paths.append(path)
+    return paths
 
 
 def _table_key(key: corpus_mod.DocumentKey) -> tuple:
@@ -314,14 +344,50 @@ def _table_key(key: corpus_mod.DocumentKey) -> tuple:
     return key.language, key.application, key.method
 
 
-def pipeline_run(config: RunConfig, seed_override: int | None = None) -> dict:
+def report_stage(
+    cells: list[scoring.ScoreCell],
+    overall_rows: list,
+    languages: list[Language],
+    methods: list[PromptMethod],
+    out_dir: Path,
+) -> list[Path]:
+    """Write every format of the report table of each language, method and
+    application under ``out_dir``, in that loop order; a table without
+    rows has every cell absent. Returns the paths written.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # each table's rows, grouped once rather than scanned for every table
+    table_cells: dict[tuple, list] = {}
+    for cell in cells:
+        table_cells.setdefault(_table_key(cell.key), []).append(cell)
+    table_overall: dict[tuple, list] = {}
+    for row in overall_rows:
+        table_overall.setdefault(_table_key(row[0]), []).append(row)
+    paths = []
+    for language in languages:
+        for method in methods:
+            for app in ApplicationKind:
+                key = (language, app, method)
+                table = report_mod.build_report(
+                    table_cells.get(key, []), table_overall.get(key, []), *key
+                )
+                for fmt in report_mod.ReportFormat:
+                    name = (
+                        f"report_{language.value}_{app.value}"
+                        f"_{method.value}.{fmt.value}"
+                    )
+                    path = out_dir / name
+                    with atomic_open(path) as handle:
+                        handle.write(report_mod.render_table(table, fmt))
+                    paths.append(path)
+    return paths
+
+
+def pipeline_run(config: RunConfig) -> dict:
     """Run all stages, returning a summary of artifacts written.
 
-    Stops at the first failing stage and reports which one failed. The
-    caller's ``config`` is never modified.
+    Stops at the first failing stage and reports which one failed.
     """
-    if seed_override is not None:
-        config = replace(config, seed=seed_override)
     out = config.out_dir
 
     def rel(path: Path) -> str:
@@ -353,59 +419,25 @@ def pipeline_run(config: RunConfig, seed_override: int | None = None) -> dict:
         }
 
         stage = "score"
-        cells, overall_rows = score_stage(corpora, config.load_lexicon(), config.scope)
-        scoring.write_scores(cells, out / "scores.jsonl")
-        scoring.write_overall_terms(overall_rows, out / "overall.jsonl")
+        scores_path, overall_path = out / "scores.jsonl", out / "overall.jsonl"
+        cells, overall_rows = score_stage(
+            corpora, config.load_lexicon(), config.scope, scores_path, overall_path
+        )
         summary["stages"][stage] = {
-            "scores": rel(out / "scores.jsonl"),
-            "overall": rel(out / "overall.jsonl"),
+            "scores": rel(scores_path),
+            "overall": rel(overall_path),
             "cells": len(cells),
         }
 
         stage = "aggregate"
-        averages_dir = out / "averages"
-        averages_dir.mkdir(exist_ok=True)
-        averages_files = []
-        for axis in agg.SeriesAxis:
-            results = []
-            for app in ApplicationKind:
-                results.extend(agg.series(cells, axis, app))
-            path = averages_dir / f"averages_{axis.value}.csv"
-            agg.write_averages_csv(results, path)
-            averages_files.append(rel(path))
-        summary["stages"][stage] = {"files": averages_files}
+        paths = aggregate_stage(cells, out / "averages")
+        summary["stages"][stage] = {"files": [rel(path) for path in paths]}
 
         stage = "report"
-        reports_dir = out / "reports"
-        reports_dir.mkdir(exist_ok=True)
-        report_files = []
-        # each table's rows, grouped once rather than scanned for every table
-        table_cells: dict[tuple, list] = {}
-        for cell in cells:
-            table_cells.setdefault(_table_key(cell.key), []).append(cell)
-        table_overall: dict[tuple, list] = {}
-        for row in overall_rows:
-            table_overall.setdefault(_table_key(row[0]), []).append(row)
-        for language in config.languages:
-            for method in config.methods:
-                for app in ApplicationKind:
-                    table = report_mod.build_report(
-                        table_cells.get((language, app, method), []),
-                        table_overall.get((language, app, method), []),
-                        language,
-                        app,
-                        method,
-                    )
-                    for fmt in report_mod.ReportFormat:
-                        name = (
-                            f"report_{language.value}_{app.value}"
-                            f"_{method.value}.{fmt.value}"
-                        )
-                        path = reports_dir / name
-                        with atomic_open(path) as handle:
-                            handle.write(report_mod.render_table(table, fmt))
-                        report_files.append(rel(path))
-        summary["stages"][stage] = {"files": report_files}
+        paths = report_stage(
+            cells, overall_rows, config.languages, config.methods, out / "reports"
+        )
+        summary["stages"][stage] = {"files": [rel(path) for path in paths]}
     except Exception as exc:
         raise StageError(stage, exc) from exc
 

@@ -81,8 +81,6 @@ class ReportTable:
     application: ApplicationKind
     method: PromptMethod
     rows: tuple[ReportRow, ...]
-    has_bias: bool
-    has_overall: bool
     bias_score_bins: tuple[BinClass | None, ...]
     top_bias_tfidf_bins: tuple[BinClass | None, ...]
     top_overall_tfidf_bins: tuple[BinClass | None, ...]
@@ -95,8 +93,8 @@ def _bin_or_absent(values: list[float | None]) -> tuple[BinClass | None, ...]:
 
 
 def build_report(
-    scores: Sequence[ScoreCell] | None,
-    overall: Sequence[tuple[DocumentKey, tuple[str, float] | None]] | None,
+    scores: Sequence[ScoreCell],
+    overall: Sequence[tuple[DocumentKey, tuple[str, float] | None]],
     language: Language,
     application: ApplicationKind,
     method: PromptMethod,
@@ -109,8 +107,8 @@ def build_report(
     score_by_identity: dict[Identity, ScoreCell] = {}
     overall_by_identity: dict[Identity, tuple] = {}  # identity -> (key, top)
     for source, by_identity, what in (
-        (scores or (), score_by_identity, "score cell"),
-        (overall or (), overall_by_identity, "overall row"),
+        (scores, score_by_identity, "score cell"),
+        (overall, overall_by_identity, "overall row"),
     ):
         is_cell = by_identity is score_by_identity
         for row in source:
@@ -144,8 +142,6 @@ def build_report(
         application=application,
         method=method,
         rows=tuple(rows),
-        has_bias=scores is not None,
-        has_overall=overall is not None,
         bias_score_bins=_bin_or_absent([r.bias_score for r in rows]),
         top_bias_tfidf_bins=_bin_or_absent([r.top_bias_tfidf for r in rows]),
         top_overall_tfidf_bins=_bin_or_absent([r.top_overall_tfidf for r in rows]),
@@ -170,62 +166,48 @@ def _fmt_bin(bin_class: BinClass | None) -> str:
     return bin_class.value if bin_class else ""
 
 
-def _columns(table: ReportTable) -> list[str]:
-    columns = ["religion", "gender", "marital_status", "children"]
-    if table.has_bias:
-        columns += [
-            "bias_score",
-            "bias_score_bin",
-            "top_bias_term",
-            "top_bias_tfidf",
-            "top_bias_tfidf_bin",
-        ]
-    if table.has_overall:
-        columns += ["top_overall_term", "top_overall_tfidf", "top_overall_tfidf_bin"]
-    return columns
+# the identity, then the bias score and top bias term, then the top overall term
+_COLUMNS = [
+    "religion", "gender", "marital_status", "children",
+    "bias_score", "bias_score_bin",
+    "top_bias_term", "top_bias_tfidf", "top_bias_tfidf_bin",
+    "top_overall_term", "top_overall_tfidf", "top_overall_tfidf_bin",
+]
 
 
 def _row_values(table: ReportTable, index: int) -> list[str]:
     row = table.rows[index]
-    values = [
+    return [
         row.identity.religion.label,
         row.identity.gender.label,
         row.identity.marital_status.label,
         row.identity.children.label,
+        _fmt_number(row.bias_score),
+        _fmt_bin(table.bias_score_bins[index]),
+        _fmt_term(row.top_bias_term),
+        _fmt_number(row.top_bias_tfidf),
+        _fmt_bin(table.top_bias_tfidf_bins[index]),
+        _fmt_term(row.top_overall_term),
+        _fmt_number(row.top_overall_tfidf),
+        _fmt_bin(table.top_overall_tfidf_bins[index]),
     ]
-    if table.has_bias:
-        values += [
-            _fmt_number(row.bias_score),
-            _fmt_bin(table.bias_score_bins[index]),
-            _fmt_term(row.top_bias_term),
-            _fmt_number(row.top_bias_tfidf),
-            _fmt_bin(table.top_bias_tfidf_bins[index]),
-        ]
-    if table.has_overall:
-        values += [
-            _fmt_term(row.top_overall_term),
-            _fmt_number(row.top_overall_tfidf),
-            _fmt_bin(table.top_overall_tfidf_bins[index]),
-        ]
-    return values
 
 
 def _render_csv(table: ReportTable) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(_columns(table))
+    writer.writerow(_COLUMNS)
     for index in range(len(table.rows)):
         writer.writerow(_row_values(table, index))
     return buffer.getvalue()
 
 
 def _render_markdown(table: ReportTable) -> str:
-    columns = _columns(table)
     lines = [
         f"# {table.language.label} / {table.application.value} / {table.method.value}",
         "",
-        "| " + " | ".join(columns) + " |",
-        "| " + " | ".join("---" for _ in columns) + " |",
+        "| " + " | ".join(_COLUMNS) + " |",
+        "| " + " | ".join("---" for _ in _COLUMNS) + " |",
     ]
     for index in range(len(table.rows)):
         lines.append("| " + " | ".join(_row_values(table, index)) + " |")
@@ -244,8 +226,7 @@ _HTML_STYLE = (
 
 def _render_html(table: ReportTable) -> str:
     # bins become td classes, so the _bin columns have no cells of their own
-    all_columns = _columns(table)
-    columns = [c for c in all_columns if not c.endswith("_bin")]
+    columns = [c for c in _COLUMNS if not c.endswith("_bin")]
     title = (
         f"{table.language.label} / {table.application.value} / {table.method.value}"
     )
@@ -261,7 +242,7 @@ def _render_html(table: ReportTable) -> str:
     ]
     for index in range(len(table.rows)):
         cells = []  # [class attribute, escaped text]
-        for column, value in zip(all_columns, _row_values(table, index)):
+        for column, value in zip(_COLUMNS, _row_values(table, index)):
             if not column.endswith("_bin"):
                 cells.append(["", html.escape(value)])
             elif value:  # each _bin column follows the column it classes

@@ -109,6 +109,17 @@ def test_prompts_emit_unknown_language(tmp_path):
     assert code == 1
 
 
+def test_prompts_emit_refuses_a_repeated_method(tmp_path, capsys):
+    out = tmp_path / "x.jsonl"
+    code = run_cli(
+        "prompts", "emit", "--language", "hindi", "--methods", "original,original",
+        "--out", str(out),
+    )
+    assert code == 1
+    assert "--methods" in json.loads(capsys.readouterr().err)["message"]
+    assert not out.exists()
+
+
 def test_prompts_emit_debias_needs_source(tmp_path):
     code = run_cli(
         "prompts", "emit", "--language", "hindi", "--methods", "original,simple",
@@ -253,40 +264,45 @@ def test_ingest_score_aggregate_report_chain(stub_run, tmp_path):
     ) == 0
     assert len(scores.read_text().splitlines()) == 432
 
-    averages = tmp_path / "averages.csv"
-    assert run_cli(
-        "aggregate", "--scores", str(scores), "--axis", "method_by_family",
-        "--application", "todo_list", "--out", str(averages),
-    ) == 0
-    with open(averages, newline="") as handle:
+    averages = tmp_path / "averages"
+    assert run_cli("aggregate", "--scores", str(scores), "--out", str(averages)) == 0
+    assert len(list(averages.iterdir())) == 5
+    with open(averages / "averages_method_by_family.csv", newline="") as handle:
         rows = list(csv.DictReader(handle))
-    assert [r["axis_value"] for r in rows] == ["original", "simple", "complex"]
+    assert [r["application"] for r in rows] == [
+        app for app in ("todo_list", "hobbies_values", "story") for _ in range(3)
+    ]
+    assert [r["axis_value"] for r in rows[:3]] == ["original", "simple", "complex"]
     assert all(r["family"] == "indo_aryan" for r in rows)
 
-    report = tmp_path / "report.html"
+    reports = tmp_path / "reports"
     assert run_cli(
         "report", "--scores", str(scores), "--overall", str(overall),
-        "--language", "hindi", "--application", "story", "--method", "original",
-        "--format", "html", "--out", str(report),
+        "--out", str(reports),
     ) == 0
-    text = report.read_text()
+    assert len(list(reports.iterdir())) == 27  # 3 methods x 3 applications x 3
+    text = (reports / "report_hindi_story_original.html").read_text()
     assert "<table>" in text
     assert "bin-" in text
 
 
 def test_score_missing_corpus_dir(tmp_path):
     code = run_cli(
-        "score", "--corpus", str(tmp_path / "missing"), "--out", str(tmp_path / "s.jsonl")
+        "score", "--corpus", str(tmp_path / "missing"),
+        "--out", str(tmp_path / "s.jsonl"), "--overall-out", str(tmp_path / "o.jsonl"),
     )
     assert code == 3
 
 
 def test_report_requires_some_input(tmp_path):
-    code = run_cli(
-        "report", "--language", "hindi", "--application", "story",
-        "--method", "original", "--format", "csv", "--out", str(tmp_path / "r.csv"),
-    )
-    assert code == 1
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    out = tmp_path / "reports"
+    assert run_cli("report", "--overall", str(empty), "--out", str(out)) == 1
+    assert run_cli(
+        "report", "--scores", str(empty), "--overall", str(empty), "--out", str(out)
+    ) == 1
+    assert not out.exists()
 
 
 def test_pipeline_cli(tmp_path):
@@ -370,6 +386,10 @@ _LOCAL_HTTP = {"kind": "http", "url": "http://127.0.0.1:9"}
         ({"translation": {"num_beams": 2.0}}, "num_beams"),
         ({"languages": "hindi"}, "languages"),
         ({"methods": "original"}, "methods"),
+        ({"languages": []}, "languages"),
+        ({"methods": []}, "methods"),
+        ({"languages": ["hindi", "hindi"]}, "languages"),
+        ({"methods": ["original", "simple", "original"]}, "methods"),
     ],
     ids=[
         "http-without-url",
@@ -391,6 +411,10 @@ _LOCAL_HTTP = {"kind": "http", "url": "http://127.0.0.1:9"}
         "float-num-beams",
         "languages-a-string",
         "methods-a-string",
+        "no-languages",
+        "no-methods",
+        "repeated-language",
+        "repeated-method",
     ],
 )
 def test_pipeline_refuses_a_malformed_config_before_running(
@@ -408,12 +432,16 @@ def test_pipeline_refuses_a_malformed_config_before_running(
     assert not out.exists()
 
 
-def test_seed_flag_reaches_the_stub(tmp_path):
+@pytest.mark.parametrize("command", ["generate run", "pipeline"])
+def test_seed_flag_reaches_the_stub(tmp_path, command):
     def records(config_seed, *flags):
+        out = tmp_path / f"run-{config_seed}-{len(flags)}"
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"out_dir": "unused", "seed": config_seed}))
-        out = tmp_path / f"gen-{config_seed}-{len(flags)}"
-        argv = ["generate", "run", "--config", str(config), "--out", str(out), *flags]
+        settings = {"out_dir": str(out), "methods": ["original"], "seed": config_seed}
+        config.write_text(json.dumps(settings))
+        argv = [*command.split(), "--config", str(config), *flags]
+        if command == "generate run":
+            argv += ["--out", str(out)]
         assert run_cli(*argv) == 0
         return (out / "records.jsonl").read_bytes()
 

@@ -120,7 +120,7 @@ def test_build_report_pipes_top_bias_term_through():
     identity = enumerate_identities()[0]
     cell = make_cell(identity, {"house": 0.037, "family": 0.02})
     table = build_report(
-        [cell], None, Language.HINDI, ApplicationKind.STORY, PromptMethod.ORIGINAL
+        [cell], [], Language.HINDI, ApplicationKind.STORY, PromptMethod.ORIGINAL
     )
     assert table.rows[0].top_bias_term == "house"
     assert table.rows[0].top_bias_tfidf == pytest.approx(0.037)
@@ -131,7 +131,7 @@ def test_build_report_rejects_duplicate_cells():
     cell = make_cell(identity, {"house": 0.01})
     with pytest.raises(Exception):
         build_report(
-            [cell, cell], None, Language.HINDI, ApplicationKind.STORY,
+            [cell, cell], [], Language.HINDI, ApplicationKind.STORY,
             PromptMethod.ORIGINAL,
         )
 
@@ -140,7 +140,7 @@ def test_build_report_filters_other_slices():
     identity = enumerate_identities()[0]
     cell = make_cell(identity, {"house": 0.01}, method=PromptMethod.SIMPLE_DEBIAS)
     table = build_report(
-        [cell], None, Language.HINDI, ApplicationKind.STORY, PromptMethod.ORIGINAL
+        [cell], [], Language.HINDI, ApplicationKind.STORY, PromptMethod.ORIGINAL
     )
     assert all(r.bias_score is None for r in table.rows)
 
@@ -150,7 +150,7 @@ def test_empty_score_row_renders_zero_and_na():
     cell = make_cell(identity, {})
     assert cell.bias_score == 0.0
     table = build_report(
-        [cell], None, Language.HINDI, ApplicationKind.STORY, PromptMethod.ORIGINAL
+        [cell], [], Language.HINDI, ApplicationKind.STORY, PromptMethod.ORIGINAL
     )
     rendered = render_table(table, ReportFormat.CSV)
     first_row = rendered.splitlines()[1]
