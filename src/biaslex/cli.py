@@ -28,7 +28,6 @@ from .lexicon import (
     validate_lexicon,
 )
 from .pipeline import (
-    ConfigError,
     RunConfig,
     StageError,
     aggregate_stage,
@@ -154,7 +153,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_generate_run(args: argparse.Namespace) -> int:
-    counts, _ = generate_stage(_run_config(args), Path(args.out))
+    counts, _ = generate_stage(_run_config(args))
     if not args.quiet:
         print(json.dumps(counts, indent=2, sort_keys=True))
     return EXIT_OK
@@ -262,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = generate_sub.add_parser("run")
     run.add_argument("--config", required=True, help="run configuration")
     run.add_argument("--seed", type=int, default=None, help=_SEED_HELP)
-    run.add_argument("--out", required=True)
     run.set_defaults(func=cmd_generate_run)
 
     ingest = sub.add_parser("ingest", help="clean records and build corpora")
@@ -310,31 +308,25 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except StageError as exc:
-        _diagnostic(exc)
-        cause = exc.cause
-        if isinstance(cause, gen.BackendError):
-            return EXIT_BACKEND
-        if isinstance(cause, OSError):
-            return EXIT_IO
-        return EXIT_VALIDATION
-    except gen.BackendError as exc:
-        _diagnostic(exc)
-        return EXIT_BACKEND
-    except OSError as exc:
-        _diagnostic(exc)
-        return EXIT_IO
     except (
-        ConfigError,
+        StageError,
+        gen.BackendError,
+        OSError,
+        ValueError,  # a ConfigError or CorruptRecordsError among them
+        KeyError,
         LexiconError,
         PromptError,
         report_mod.ReportError,
         scoring.EmptyCorpusError,
         gen.PrerequisiteMissingError,
-        ValueError,
-        KeyError,
     ) as exc:
         _diagnostic(exc)
+        # a stage's error exits as its cause would; a cause not listed is 1
+        cause = exc.cause if isinstance(exc, StageError) else exc
+        if isinstance(cause, gen.BackendError):
+            return EXIT_BACKEND
+        if isinstance(cause, OSError):
+            return EXIT_IO
         return EXIT_VALIDATION
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 import time
@@ -59,18 +60,42 @@ class PrerequisiteMissingError(Exception):
     """Debias generation was requested before its originals exist."""
 
 
+class ConfigError(ValueError):
+    """The run configuration is malformed or inconsistent."""
+
+
 class CorruptRecordsError(ValueError):
     """A record file holds a line, other than an unfinished last one, that
     is not a record."""
 
 
-def _require_integers(config: object, names: tuple[str, ...]) -> None:
-    """Refuse a float or bool where a count is expected: an endpoint would
-    receive it as posted."""
-    for name in names:
-        value = getattr(config, name)
-        if type(value) is not int:  # bool is an int subclass
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+def check_number(
+    name: str,
+    value: object,
+    low: float = -math.inf,
+    high: float = math.inf,
+    *,
+    integer: bool = False,
+    above: bool = False,
+) -> None:
+    """Raise :class:`ConfigError` unless ``value`` is a finite number, not a
+    bool, an ``int`` when ``integer``, from ``low`` (excluded when ``above``)
+    to ``high``: an endpoint would receive a bad value as posted."""
+    kinds = int if integer else (int, float)
+    if (
+        isinstance(value, kinds)
+        and not isinstance(value, bool)  # bool is an int subclass
+        and -math.inf < value < math.inf  # false for NaN
+        and (low < value if above else low <= value)
+        and value <= high
+    ):
+        return
+    what = "an integer" if integer else "a number"
+    if high < math.inf:
+        what += f" in {'(' if above else '['}{low}, {high}]"
+    elif low > -math.inf:
+        what += f" {'>' if above else '>='} {low}"
+    raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -82,17 +107,11 @@ class GenerationConfig:
     repetition_penalty: float = 1.5
 
     def __post_init__(self) -> None:
-        _require_integers(self, ("top_k", "max_new_tokens"))
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if not 0 < self.top_p <= 1:
-            raise ValueError("top_p must be in (0, 1]")
-        if self.top_k < 0:
-            raise ValueError("top_k must be >= 0")
-        if self.max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be >= 1")
-        if self.repetition_penalty < 1:
-            raise ValueError("repetition_penalty must be >= 1")
+        check_number("temperature", self.temperature, 0)
+        check_number("top_k", self.top_k, 0, integer=True)
+        check_number("top_p", self.top_p, 0, 1, above=True)
+        check_number("max_new_tokens", self.max_new_tokens, 1, integer=True)
+        check_number("repetition_penalty", self.repetition_penalty, 1)
 
 
 @dataclass(frozen=True)
@@ -101,11 +120,8 @@ class TranslationConfig:
     max_new_tokens: int = 500
 
     def __post_init__(self) -> None:
-        _require_integers(self, ("num_beams", "max_new_tokens"))
-        if self.num_beams < 1:
-            raise ValueError("num_beams must be >= 1")
-        if self.max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be >= 1")
+        check_number("num_beams", self.num_beams, 1, integer=True)
+        check_number("max_new_tokens", self.max_new_tokens, 1, integer=True)
 
 
 # Mix of everyday vocabulary and identity-linked terms so stub corpora
@@ -187,24 +203,28 @@ def _response_text(body: bytes) -> str:
     return data["text"]
 
 
+@dataclass(frozen=True)
 class HttpBackend:
-    """Text-completion endpoint client with bounded retries."""
+    """Text-completion endpoint client with bounded retries; translation
+    requests go to ``translate_url``, which defaults to ``url``."""
 
-    def __init__(
-        self,
-        url: str,
-        translate_url: str | None = None,
-        auth_env: str | None = None,
-        timeout: float = 30.0,
-        max_retries: int = 3,
-        backoff: float = 0.5,
-    ):
-        self.url = url
-        self.translate_url = translate_url or url
-        self.auth_env = auth_env
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
+    url: str
+    translate_url: str | None = None
+    auth_env: str | None = None
+    timeout: float = 30.0
+    max_retries: int = 3
+    backoff: float = 0.5
+
+    def __post_init__(self) -> None:
+        for name in ("url", "translate_url", "auth_env"):
+            value = getattr(self, name)
+            if not isinstance(value, str) and (name == "url" or value is not None):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
+        check_number("timeout", self.timeout, 0, above=True)
+        check_number("max_retries", self.max_retries, 0, integer=True)
+        check_number("backoff", self.backoff, 0)
+        if not self.translate_url:
+            object.__setattr__(self, "translate_url", self.url)
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}

@@ -9,7 +9,6 @@ ingest, so ``records.jsonl`` is parsed once per run.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -19,13 +18,10 @@ from . import generation as gen
 from . import report as report_mod
 from . import scoring
 from .artifacts import atomic_open, write_json
+from .generation import ConfigError
 from .identities import ApplicationKind, Language, PromptMethod
 from .lexicon import BiasLexicon, load_lexicon, load_seed_lexicon
 from .preprocess import load_stopwords
-
-
-class ConfigError(ValueError):
-    """The run configuration is malformed or inconsistent."""
 
 
 class StageError(Exception):
@@ -37,87 +33,42 @@ class StageError(Exception):
         self.cause = cause
 
 
-_BACKEND_KEYS = {
-    "kind",
-    "url",
-    "translate_url",
-    "auth_env",
-    "timeout",
-    "max_retries",
-    "backoff",
-}
-_GENERATION_KEYS = {f.name for f in fields(gen.GenerationConfig)}
-_TRANSLATION_KEYS = {f.name for f in fields(gen.TranslationConfig)}
-_TOP_LEVEL_KEYS = {
-    "out_dir",
-    "languages",
-    "methods",
-    "seed",
-    "backend",
-    "generation",
-    "translation",
-    "concurrency",
-    "scope",
-    "lexicon",
-    "stopwords",
-    "detector",
-}
-
-
 def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
 
 
-def _block(data: dict, key: str, allowed: set[str]) -> dict:
-    """The object under ``key`` (empty when absent), refusing unknown keys."""
-    block = data.get(key, {})
+def _block(block: object, key: str, cls: type):
+    """``cls`` built from the config block under ``key``, refusing a
+    non-object, keys that are not fields of ``cls`` and the values
+    ``cls`` refuses, each in the block's name."""
     if not isinstance(block, dict):
         raise ConfigError(f"{key!r} must be an object")
-    _reject_unknown(block, allowed, key)
-    return block
+    _reject_unknown(block, {f.name for f in fields(cls)}, key)
+    try:
+        return cls(**block)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _check_backend(backend: dict) -> None:
-    """Refuse a backend block that cannot make a working backend; the http
-    defaults are :class:`~biaslex.generation.HttpBackend`'s."""
-    if not isinstance(backend, dict):
+def _backend(block: object) -> gen.HttpBackend | None:
+    """The backend a ``backend`` block names by its ``kind``: an
+    :class:`~biaslex.generation.HttpBackend`, or ``None`` for the stub."""
+    if not isinstance(block, dict):
         raise ConfigError("'backend' must be an object")
-    _reject_unknown(backend, _BACKEND_KEYS, "backend")
-    kind = backend.get("kind", "stub")
-    if kind not in ("stub", "http"):
+    options = dict(block)
+    kind = options.pop("kind", "stub")
+    if kind == "http":
+        return _block(options, "backend", gen.HttpBackend)
+    if kind != "stub":
         raise ConfigError(f"unknown backend kind {kind!r}")
-    if kind == "http" and not isinstance(backend.get("url"), str):
-        raise ConfigError("http backend requires a 'url' string")
-    http_keys = sorted(set(backend) - {"kind"})
-    if kind == "stub" and http_keys:
+    if options:
         raise ConfigError(
-            f"the stub backend takes no {', '.join(http_keys)}; "
+            f"the stub backend takes no {', '.join(sorted(options))}; "
             "set \"kind\": \"http\" to use them"
         )
-    for key in ("translate_url", "auth_env"):
-        if backend.get(key) is not None and not isinstance(backend[key], str):
-            raise ConfigError(f"backend {key!r} must be a string")
-
-    expected = {
-        "timeout": "positive number",
-        "backoff": "non-negative number",
-        "max_retries": "non-negative integer",
-    }
-    for key, what in expected.items():
-        if key not in backend:
-            continue  # HttpBackend's default
-        value = backend[key]
-        types = int if key == "max_retries" else (int, float)
-        valid = (
-            isinstance(value, types)
-            and not isinstance(value, bool)
-            and 0 <= value < math.inf
-            and (value > 0 or key != "timeout")
-        )
-        if not valid:
-            raise ConfigError(f"backend {key!r} must be a {what}, got {value!r}")
+    return None
 
 
 @dataclass
@@ -128,7 +79,7 @@ class RunConfig:
     languages: list[Language] = field(default_factory=lambda: [Language.HINDI])
     methods: list[PromptMethod] = field(default_factory=lambda: list(PromptMethod))
     seed: int = 0
-    backend: dict = field(default_factory=lambda: {"kind": "stub"})
+    backend: gen.HttpBackend | None = None  # None: the stub, seeded by ``seed``
     generation: gen.GenerationConfig = field(default_factory=gen.GenerationConfig)
     translation: gen.TranslationConfig = field(default_factory=gen.TranslationConfig)
     concurrency: int = 1
@@ -145,21 +96,15 @@ class RunConfig:
             repeated = {v.value for i, v in enumerate(values) if v in values[:i]}
             if repeated:
                 raise ConfigError(f"{key!r} repeats {', '.join(sorted(repeated))}")
-        if type(self.seed) is not int:  # bool is an int subclass
-            raise ConfigError(f"'seed' must be an integer, got {self.seed!r}")
-        if type(self.concurrency) is not int or self.concurrency < 1:
-            raise ConfigError("concurrency must be a positive integer")
+        gen.check_number("seed", self.seed, integer=True)
+        gen.check_number("concurrency", self.concurrency, 1, integer=True)
         if self.detector not in ("stub", "none"):
-            raise ConfigError(
-                f"detector must be 'stub' or 'none', got {self.detector!r}"
-            )
-        _check_backend(self.backend)
+            raise ConfigError(f"detector must be 'stub' or 'none', got {self.detector!r}")
+        if not isinstance(self.backend, gen.HttpBackend | None):
+            raise ConfigError(f"backend is not an HttpBackend: {self.backend!r}")
 
     def make_backend(self) -> gen.Backend:
-        options = dict(self.backend)
-        if options.pop("kind", "stub") == "stub":
-            return gen.StubBackend(seed=self.seed)
-        return gen.HttpBackend(**options)
+        return self.backend or gen.StubBackend(seed=self.seed)
 
     def load_lexicon(self) -> BiasLexicon:
         if self.lexicon_path is None:
@@ -167,6 +112,8 @@ class RunConfig:
         return load_lexicon(self.lexicon_path)
 
 
+# the config's keys: RunConfig's fields, "lexicon" and "stopwords" without "_path"
+_KEYS = {f.name.removesuffix("_path") for f in fields(RunConfig)}
 # how each top-level key that names grid values becomes a RunConfig value
 _PARSERS = {
     "languages": lambda values: [Language(value) for value in values],
@@ -188,7 +135,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
             "unknown config key 'expansion': run `biaslex lexicon expand` "
             "and point 'lexicon' at its output"
         )
-    _reject_unknown(data, _TOP_LEVEL_KEYS, "config")
+    _reject_unknown(data, _KEYS, "config")
     if data.get("out_dir") is None:
         raise ConfigError("config requires 'out_dir'")
     base = base_dir or Path.cwd()
@@ -199,32 +146,30 @@ def parse_config(data: dict, base_dir: Path | None = None) -> RunConfig:
             return None
         if not isinstance(value, str):
             raise ConfigError(f"{key!r} must be a path string")
-        path = Path(value)
-        return path if path.is_absolute() else base / path
+        return base / value  # an absolute value replaces base
 
     for key in ("languages", "methods"):
         if not isinstance(data.get(key, []), list):
             raise ConfigError(f"{key!r} must be a list, got {data[key]!r}")
-    generation_data = _block(data, "generation", _GENERATION_KEYS)
-    translation_data = _block(data, "translation", _TRANSLATION_KEYS)
     values = {
-        key: data[key]
-        for key in ("seed", "backend", "concurrency", "detector")
-        if key in data
+        key: data[key] for key in ("seed", "concurrency", "detector") if key in data
     }
     try:
         for key, parse in _PARSERS.items():
             if key in data:
                 values[key] = parse(data[key])
-        generation_config = gen.GenerationConfig(**generation_data)
-        translation_config = gen.TranslationConfig(**translation_data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
     return RunConfig(
         out_dir=_path("out_dir"),
-        generation=generation_config,
-        translation=translation_config,
+        backend=_backend(data.get("backend", {})),
+        generation=_block(
+            data.get("generation", {}), "generation", gen.GenerationConfig
+        ),
+        translation=_block(
+            data.get("translation", {}), "translation", gen.TranslationConfig
+        ),
         lexicon_path=_path("lexicon"),
         stopwords_path=_path("stopwords"),
         **values,
@@ -240,10 +185,8 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config(data, base_dir=path.parent)
 
 
-def generate_stage(
-    config: RunConfig, out: Path
-) -> tuple[dict, list[corpus_mod.GenerationRecord]]:
-    """Generate the grid into ``out/records.jsonl`` and write ``run_summary.json``.
+def generate_stage(config: RunConfig) -> tuple[dict, list[corpus_mod.GenerationRecord]]:
+    """Generate the grid into ``records.jsonl`` and ``run_summary.json`` in ``out_dir``.
 
     Returns the per-phase counts and every record the file now holds, in
     file order. Partial failures are tolerated and resumable; a run whose
@@ -252,9 +195,24 @@ def generate_stage(
     backend never worked. ``run_summary.json`` is written however the run
     ends, so one stopped by an error or an interrupt keeps its per-cell
     reasons.
+
+    A file with records of a (language, method) the config does not list
+    raises :class:`ConfigError` before any cell is generated.
     """
+    out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     sink = gen.RecordSink(out / "records.jsonl")
+    off_grid = {
+        f"{record.language.value}/{record.method.value}"
+        for record in sink.records
+        if record.language not in config.languages
+        or record.method not in config.methods
+    }
+    if off_grid:
+        raise ConfigError(
+            f"{sink.path} holds records of {', '.join(sorted(off_grid))}, which "
+            "the config does not list; list them or use another out_dir"
+        )
     run = gen.RunSummary()
     try:
         gen.run_matrix(
@@ -396,7 +354,7 @@ def pipeline_run(config: RunConfig) -> dict:
     summary: dict = {"out_dir": str(out), "stages": {}}
     stage = "generate"
     try:
-        counts, records = generate_stage(config, out)
+        counts, records = generate_stage(config)
         summary["stages"][stage] = {
             "records": rel(out / "records.jsonl"),
             "counts": counts,

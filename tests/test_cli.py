@@ -8,6 +8,7 @@ import pytest
 
 from biaslex.cli import build_parser, main
 from biaslex.lexicon import seed_lexicon_path
+from biaslex.pipeline import RunConfig, parse_config
 
 
 def run_cli(*argv):
@@ -19,18 +20,18 @@ def stub_run(tmp_path_factory):
     """One stub generation run shared by the downstream command tests."""
     root = tmp_path_factory.mktemp("cli")
     config = root / "config.json"
+    out = root / "gen"
     config.write_text(
         json.dumps(
             {
-                "out_dir": str(root / "unused"),
+                "out_dir": str(out),
                 "languages": ["hindi"],
                 "methods": ["original", "simple", "complex"],
                 "seed": 11,
             }
         )
     )
-    out = root / "gen"
-    assert run_cli("generate", "run", "--config", str(config), "--out", str(out)) == 0
+    assert run_cli("generate", "run", "--config", str(config)) == 0
     return root, config, out
 
 
@@ -164,10 +165,11 @@ def test_generate_run_writes_records(stub_run):
 
 def test_generate_run_unreachable_endpoint(tmp_path):
     config = tmp_path / "config.json"
+    out = tmp_path / "gen"
     config.write_text(
         json.dumps(
             {
-                "out_dir": str(tmp_path / "o"),
+                "out_dir": str(out),
                 "languages": ["hindi"],
                 "methods": ["original"],
                 "backend": {
@@ -181,8 +183,7 @@ def test_generate_run_unreachable_endpoint(tmp_path):
     )
     # partial failures are tolerated, but a backend that produces nothing
     # at all is a backend failure
-    out = tmp_path / "gen"
-    code = run_cli("generate", "run", "--config", str(config), "--out", str(out))
+    code = run_cli("generate", "run", "--config", str(config))
     assert code == 2
     summary = json.loads((out / "run_summary.json").read_text())
     assert summary["counts"]["hindi/original"]["failed"] == 288
@@ -210,7 +211,7 @@ def test_a_dead_backend_exits_2_with_every_reason_on_disk(tmp_path, capsys, comm
     )
     argv = ["pipeline", "--config", str(config)]
     if command == "generate":
-        argv = ["generate", "run", "--config", str(config), "--out", str(out)]
+        argv = ["generate", "run", "--config", str(config)]
     assert run_cli(*argv) == 2
     diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert "every original call for hindi failed" in diagnostic["message"]
@@ -225,9 +226,9 @@ def test_a_dead_backend_exits_2_with_every_reason_on_disk(tmp_path, capsys, comm
 
 def test_debias_only_without_originals_is_still_a_usage_error(tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"out_dir": "unused", "methods": ["simple"]}))
     out = tmp_path / "gen"
-    code = run_cli("generate", "run", "--config", str(config), "--out", str(out))
+    config.write_text(json.dumps({"out_dir": str(out), "methods": ["simple"]}))
+    code = run_cli("generate", "run", "--config", str(config))
     assert code == 1
     diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert diagnostic["error"] == "PrerequisiteMissingError"
@@ -235,13 +236,16 @@ def test_debias_only_without_originals_is_still_a_usage_error(tmp_path, capsys):
 
 
 def test_generate_run_refuses_a_corrupt_record_file(stub_run, tmp_path, capsys):
-    _, config, out = stub_run
+    _, stub_config, out = stub_run
     lines = (out / "records.jsonl").read_bytes().splitlines(keepends=True)
     lines[2] = b"{not a record\n"
     target = tmp_path / "gen"
     target.mkdir()
     (target / "records.jsonl").write_bytes(b"".join(lines))
-    code = run_cli("generate", "run", "--config", str(config), "--out", str(target))
+    config = tmp_path / "config.json"
+    settings = json.loads(stub_config.read_text())
+    config.write_text(json.dumps({**settings, "out_dir": str(target)}))
+    code = run_cli("generate", "run", "--config", str(config))
     assert code == 1
     diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert "line 3 " in diagnostic["message"]
@@ -390,6 +394,14 @@ _LOCAL_HTTP = {"kind": "http", "url": "http://127.0.0.1:9"}
         ({"methods": []}, "methods"),
         ({"languages": ["hindi", "hindi"]}, "languages"),
         ({"methods": ["original", "simple", "original"]}, "methods"),
+        ({"generation": {"temperature": True}}, "generation: temperature"),
+        ({"generation": {"temperature": float("nan")}}, "generation: temperature"),
+        ({"generation": {"temperature": "0.7"}}, "generation: temperature"),
+        ({"generation": {"top_p": True}}, "generation: top_p"),
+        (
+            {"generation": {"repetition_penalty": float("inf")}},
+            "generation: repetition_penalty",
+        ),
     ],
     ids=[
         "http-without-url",
@@ -415,6 +427,11 @@ _LOCAL_HTTP = {"kind": "http", "url": "http://127.0.0.1:9"}
         "no-methods",
         "repeated-language",
         "repeated-method",
+        "bool-temperature",
+        "nan-temperature",
+        "string-temperature",
+        "bool-top-p",
+        "infinite-repetition-penalty",
     ],
 )
 def test_pipeline_refuses_a_malformed_config_before_running(
@@ -439,10 +456,7 @@ def test_seed_flag_reaches_the_stub(tmp_path, command):
         config = tmp_path / "config.json"
         settings = {"out_dir": str(out), "methods": ["original"], "seed": config_seed}
         config.write_text(json.dumps(settings))
-        argv = [*command.split(), "--config", str(config), *flags]
-        if command == "generate run":
-            argv += ["--out", str(out)]
-        assert run_cli(*argv) == 0
+        assert run_cli(*command.split(), "--config", str(config), *flags) == 0
         return (out / "records.jsonl").read_bytes()
 
     assert records(3, "--seed", "8") == records(8) != records(3)
@@ -492,13 +506,24 @@ def test_bad_usage_maps_to_validation_exit():
     assert run_cli("score") == 1  # missing required options
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_run_config_example_is_the_default_config(tmp_path):
+    """The README's run-config example shows RunConfig's keys and defaults."""
+    readme = README.read_text(encoding="utf-8")
+    (example,) = re.findall(r"^```json\n(.*?)^```", readme, re.M | re.S)
+    data = json.loads(example)
+    config = parse_config(data, base_dir=tmp_path)
+    assert config == RunConfig(out_dir=tmp_path / data["out_dir"])
+
+
 def _readme_commands() -> list[str]:
     """The ``biaslex ...`` lines of README's fenced blocks, with ``\\``
     continuations joined and ``[...]`` optional groups and ``# ...`` comments
     dropped."""
-    readme = Path(__file__).resolve().parent.parent / "README.md"
     blocks = re.findall(
-        r"^```[^\n]*\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S
+        r"^```[^\n]*\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S
     )
     lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
     commands = [

@@ -77,6 +77,20 @@ def test_translation_config_rejects_invalid():
         TranslationConfig(num_beams=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"url": "http://x", "timeout": 0},
+        {"url": "http://x", "backoff": -1},
+        {"url": "http://x", "max_retries": 1.5},
+        {"url": None},
+    ],
+)
+def test_http_backend_rejects_invalid(kwargs):
+    with pytest.raises(ValueError):
+        HttpBackend(**kwargs)
+
+
 def test_stub_is_deterministic():
     backend = StubBackend(seed=5)
     config = GenerationConfig()

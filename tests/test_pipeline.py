@@ -107,12 +107,7 @@ def test_load_config_rejects_bad_json(tmp_path):
 def test_pipeline_stage_error_names_the_stage(tmp_path):
     config = RunConfig(
         out_dir=tmp_path / "run",
-        backend={
-            "kind": "http",
-            "url": "http://127.0.0.1:9",
-            "max_retries": 0,
-            "backoff": 0.0,
-        },
+        backend=HttpBackend(url="http://127.0.0.1:9", max_retries=0, backoff=0.0),
     )
     with pytest.raises(StageError) as excinfo:
         pipeline_run(config)
@@ -132,7 +127,7 @@ def test_an_interrupted_generation_leaves_its_run_summary(tmp_path, monkeypatch)
     monkeypatch.setattr(RunConfig, "make_backend", lambda c: InterruptedStub(c.seed))
     config = RunConfig(out_dir=tmp_path / "run")
     with pytest.raises(KeyboardInterrupt):
-        generate_stage(config, config.out_dir)
+        generate_stage(config)
     summary = json.loads((config.out_dir / "run_summary.json").read_text())
     assert summary["counts"]["hindi/original"]["generated"] == 19
 
@@ -175,26 +170,24 @@ def test_pipeline_is_the_composition_of_the_subcommands(tmp_path, start):
     """Chaining the five stage subcommands reproduces every artifact of the
     pipeline byte for byte, from an empty record file, from a resumable
     prefix and from one whose last line a crash cut short."""
-    config_path = tmp_path / "config.json"
-    config_path.write_text(
-        json.dumps(
-            {
-                "out_dir": str(tmp_path / "pipe"),
-                "languages": ["hindi"],
-                "methods": ["original", "simple", "complex"],
-                "seed": 17,
-            }
-        )
-    )
+    settings = {
+        "languages": ["hindi"],
+        "methods": ["original", "simple", "complex"],
+        "seed": 17,
+    }
+
+    def config_for(out):
+        path = tmp_path / f"{out.name}.json"
+        path.write_text(json.dumps({**settings, "out_dir": str(out)}))
+        return path
+
     pipe = tmp_path / "pipe"
     manual = tmp_path / "manual"
     for out in (pipe, manual):
         out.mkdir()
     if start != "empty":
         source = tmp_path / "source"
-        assert main(
-            ["generate", "run", "--config", str(config_path), "--out", str(source)]
-        ) == 0
+        assert main(["generate", "run", "--config", str(config_for(source))]) == 0
         lines = (source / "records.jsonl").read_bytes().splitlines(keepends=True)
         # all 288 originals and part of the simple-debias phase
         prefix = b"".join(lines[:300])
@@ -203,7 +196,7 @@ def test_pipeline_is_the_composition_of_the_subcommands(tmp_path, start):
         for out in (pipe, manual):
             (out / "records.jsonl").write_bytes(prefix)
 
-    pipeline_run(load_config(config_path))
+    pipeline_run(load_config(config_for(pipe)))
 
     summary = json.loads((pipe / "run_summary.json").read_text())
     assert ("dropped_tail" in summary) == (start == "cut-short")
@@ -211,7 +204,7 @@ def test_pipeline_is_the_composition_of_the_subcommands(tmp_path, start):
     corpus_dir = manual / "corpus"
     scores, overall = manual / "scores.jsonl", manual / "overall.jsonl"
     for argv in [
-        ["generate", "run", "--config", config_path, "--out", manual],
+        ["generate", "run", "--config", config_for(manual)],
         ["ingest", "--in", manual / "records.jsonl", "--out", corpus_dir],
         ["score", "--corpus", corpus_dir, "--out", scores, "--overall-out", overall],
         ["aggregate", "--scores", scores, "--out", manual / "averages"],
@@ -253,6 +246,31 @@ def test_pipeline_parses_the_record_file_once(tmp_path, monkeypatch, resume):
     summary = pipeline_run(config)
     assert summary["stages"]["ingest"]["documents"] == {"hindi/original": 144}
     assert len(parsed) == (288 if resume else 0)
+
+
+@pytest.mark.parametrize(
+    "wider, named",
+    [
+        ({"languages": ["hindi", "bengali"]}, "bengali/original"),
+        ({"methods": ["original", "simple"]}, "hindi/simple"),
+    ],
+    ids=["narrowed-languages", "narrowed-methods"],
+)
+def test_a_resume_refuses_records_off_the_configs_grid(
+    tmp_path, capsys, wider, named
+):
+    """A run into a tree made with a wider grid would score and average the
+    records the config no longer lists; it stops before writing anything."""
+    out = tmp_path / "run"
+    settings = {"out_dir": str(out), "methods": ["original"], "seed": 3}
+    pipeline_run(parse_config({**settings, **wider}))
+    before = _tree_digest(out)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(settings))
+    assert main(["pipeline", "--config", str(config)]) == 1
+    diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert named in diagnostic["message"]
+    assert _tree_digest(out) == before
 
 
 def _tree_digest(root):
