@@ -22,7 +22,6 @@ from .lexicon import (
     expand_lexicon,
     load_lexicon,
     load_seed_lexicon,
-    validate_lexicon,
 )
 from .prompts import (
     render_application_prompt,

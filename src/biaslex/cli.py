@@ -25,7 +25,6 @@ from .lexicon import (
     load_lexicon,
     save_lexicon,
     seed_lexicon_path,
-    validate_lexicon,
 )
 from .pipeline import (
     RunConfig,
@@ -38,6 +37,7 @@ from .pipeline import (
     report_stage,
     score_stage,
 )
+from .preprocess import load_stopwords
 from .prompts import (
     PromptError,
     prompt_record,
@@ -124,12 +124,7 @@ def cmd_prompts_emit(args: argparse.Namespace) -> int:
 
 
 def cmd_lexicon_validate(args: argparse.Namespace) -> int:
-    lexicon = load_lexicon(args.path)
-    violations = validate_lexicon(lexicon)
-    if violations:
-        for violation in violations:
-            print(f"{violation.lemma}: {violation.message}", file=sys.stderr)
-        raise ValueError(f"lexicon has {len(violations)} violations")
+    lexicon = load_lexicon(args.path)  # a refused row raises, naming its line
     if not args.quiet:
         print(f"ok: {len(lexicon)} entries")
     return EXIT_OK
@@ -160,8 +155,9 @@ def cmd_generate_run(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    stopwords = load_stopwords(args.stopwords)
     corpora, summary = ingest_stage(
-        corpus_mod.read_records(args.infile), args.out, args.detector, args.stopwords
+        corpus_mod.read_records(args.infile), args.out, args.detector, stopwords
     )
     if not args.quiet:
         print(

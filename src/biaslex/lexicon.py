@@ -1,20 +1,24 @@
-"""Identity-scoped bias lexicon: file format, matching, validation, expansion.
+"""Identity-scoped bias lexicon: file format, matching, expansion.
 
 A lexicon entry pairs a single-token lowercase lemma with an identity
 selector. A selector constrains any subset of the four identity dimensions;
 an unconstrained dimension is a wildcard, but at least one dimension must be
-constrained. The file format is UTF-8 CSV with header::
+constrained. An auto synonym records its seed lemma, and a source note is one
+line without padding. :class:`BiasTerm` refuses any other value when it is
+built, so a CSV row, a term built in Python and an expansion candidate all
+meet the one rule. The file format is UTF-8 CSV with header::
 
     lemma,religions,genders,marital_statuses,children,provenance,source_note
 
 Multi-value selector fields are ``|``-separated; an empty field is a
-wildcard.
+wildcard. The loader lowercases and NFC-normalizes each lemma first.
 """
 from __future__ import annotations
 
 import csv
 import enum
 import io
+import math
 import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
@@ -29,14 +33,15 @@ SimilarityOracle = Callable[[str, str], float]
 
 DEFAULT_SIMILARITY_THRESHOLD = 0.5
 
+# each selector dimension: its CSV column (the IdentitySelector field) and enum
+_DIMENSIONS = (
+    ("religions", Religion),
+    ("genders", Gender),
+    ("marital_statuses", MaritalStatus),
+    ("children", Children),
+)
 LEXICON_HEADER = [
-    "lemma",
-    "religions",
-    "genders",
-    "marital_statuses",
-    "children",
-    "provenance",
-    "source_note",
+    "lemma", *(column for column, _ in _DIMENSIONS), "provenance", "source_note"
 ]
 
 
@@ -45,7 +50,7 @@ class LexiconError(Exception):
 
 
 class ParseError(LexiconError):
-    """A lexicon file row could not be parsed."""
+    """A lexicon row or term is malformed."""
 
 
 class DuplicateEntryError(LexiconError):
@@ -53,7 +58,7 @@ class DuplicateEntryError(LexiconError):
 
 
 class EmptySelectorError(LexiconError):
-    """A row constrained no identity dimension at all."""
+    """A selector constrains no identity dimension, or one to no value."""
 
 
 class ProviderFailureError(LexiconError):
@@ -102,22 +107,30 @@ class IdentitySelector:
 
 @dataclass(frozen=True)
 class BiasTerm:
+    """One lexicon entry; building one that breaks the entry rule raises."""
+
     lemma: str
     selector: IdentitySelector
     provenance: Provenance
     source_note: str = ""
 
+    def __post_init__(self) -> None:
+        lemma = self.lemma
+        if lemma.split() != [lemma] or _normalize_lemma(lemma) != lemma:
+            raise ParseError(f"lemma {lemma!r} is not one lowercase NFC token")
+        if not self.selector.is_valid():
+            raise EmptySelectorError(
+                f"selector for {lemma!r} constrains no dimension, or one to no value"
+            )
+        if self.provenance is Provenance.AUTO_SYNONYM and not self.source_note:
+            raise ParseError(f"auto synonym {lemma!r} does not record its seed")
+        note = self.source_note
+        if note != note.strip() or len(note.splitlines()) > 1:  # else CSV alters it
+            raise ParseError(f"source note of {lemma!r} is not one unpadded line")
+
     @property
     def key(self) -> tuple[str, IdentitySelector]:
         return (self.lemma, self.selector)
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One invariant breach found by :func:`validate_lexicon`."""
-
-    lemma: str
-    message: str
 
 
 class BiasLexicon:
@@ -128,9 +141,7 @@ class BiasLexicon:
         seen: set[tuple[str, IdentitySelector]] = set()
         for entry in self._entries:
             if entry.key in seen:
-                raise DuplicateEntryError(
-                    f"duplicate entry for lemma {entry.lemma!r}"
-                )
+                raise DuplicateEntryError(f"duplicate entry for lemma {entry.lemma!r}")
             seen.add(entry.key)
         self._lemmas = frozenset(e.lemma for e in self._entries)
         # entries never change, so each identity's scope is scanned once
@@ -163,7 +174,7 @@ def _normalize_lemma(raw: str) -> str:
     return unicodedata.normalize("NFC", raw).strip().lower()
 
 
-def _parse_selector_field(raw: str, parse, line_no: int, column: str):
+def _parse_selector_field(raw: str, parse, column: str):
     raw = raw.strip()
     if not raw:
         return None
@@ -171,18 +182,37 @@ def _parse_selector_field(raw: str, parse, line_no: int, column: str):
     for token in raw.split("|"):
         token = token.strip()
         if not token:
-            raise ParseError(f"line {line_no}: empty value in {column!r}")
+            raise ParseError(f"empty value in {column!r}")
         try:
             values.append(parse(token))
         except ValueError:
-            raise ParseError(
-                f"line {line_no}: unknown {column} value {token!r}"
-            ) from None
+            raise ParseError(f"unknown {column} value {token!r}") from None
     return frozenset(values)
 
 
+def _parse_row(row: list[str]) -> BiasTerm:
+    if len(row) != len(LEXICON_HEADER):
+        raise ParseError(f"expected {len(LEXICON_HEADER)} fields")
+    lemma, *selector_fields, provenance, note = row
+    selector = IdentitySelector(
+        **{
+            column: _parse_selector_field(raw, parse, column)
+            for (column, parse), raw in zip(_DIMENSIONS, selector_fields)
+        }
+    )
+    try:
+        prov = Provenance(provenance.strip())
+    except ValueError:
+        raise ParseError(f"unknown provenance {provenance!r}") from None
+    return BiasTerm(_normalize_lemma(lemma), selector, prov, note.strip())
+
+
 def load_lexicon(source: str | Path | TextIO | io.IOBase) -> BiasLexicon:
-    """Load and validate a lexicon from a path or readable stream."""
+    """Load a lexicon from a path or readable stream.
+
+    A row that is not a valid :class:`BiasTerm` raises the error the term
+    raises, naming the row's line.
+    """
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8", newline="") as handle:
             return load_lexicon(handle)
@@ -200,45 +230,13 @@ def load_lexicon(source: str | Path | TextIO | io.IOBase) -> BiasLexicon:
         )
 
     entries: list[BiasTerm] = []
-    seen: set[tuple[str, IdentitySelector]] = set()
     for line_no, row in enumerate(rows[1:], start=2):
         if not any(cell.strip() for cell in row):
             continue
-        if len(row) != len(LEXICON_HEADER):
-            raise ParseError(f"line {line_no}: expected {len(LEXICON_HEADER)} fields")
-        raw_lemma, religions, genders, maritals, children, provenance, note = row
-        lemma = _normalize_lemma(raw_lemma)
-        if not lemma:
-            raise ParseError(f"line {line_no}: empty lemma")
-        if any(ch.isspace() for ch in lemma):
-            raise ParseError(
-                f"line {line_no}: lemma {lemma!r} is not a single token"
-            )
-        selector = IdentitySelector(
-            religions=_parse_selector_field(religions, Religion, line_no, "religions"),
-            genders=_parse_selector_field(genders, Gender, line_no, "genders"),
-            marital_statuses=_parse_selector_field(
-                maritals, MaritalStatus, line_no, "marital_statuses"
-            ),
-            children=_parse_selector_field(children, Children, line_no, "children"),
-        )
-        if not selector.is_valid():
-            raise EmptySelectorError(
-                f"line {line_no}: selector for {lemma!r} constrains nothing"
-            )
         try:
-            prov = Provenance(provenance.strip())
-        except ValueError:
-            raise ParseError(
-                f"line {line_no}: unknown provenance {provenance!r}"
-            ) from None
-        entry = BiasTerm(lemma, selector, prov, note.strip())
-        if entry.key in seen:
-            raise DuplicateEntryError(
-                f"line {line_no}: duplicate entry for lemma {lemma!r}"
-            )
-        seen.add(entry.key)
-        entries.append(entry)
+            entries.append(_parse_row(row))
+        except LexiconError as exc:
+            raise type(exc)(f"line {line_no}: {exc}") from None
     return BiasLexicon(entries)
 
 
@@ -253,39 +251,17 @@ def save_lexicon(lexicon: BiasLexicon, path: str | Path) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(LEXICON_HEADER)
         for entry in lexicon:
-            sel = entry.selector
             writer.writerow(
                 [
                     entry.lemma,
-                    _selector_field_to_csv(sel.religions, Religion),
-                    _selector_field_to_csv(sel.genders, Gender),
-                    _selector_field_to_csv(sel.marital_statuses, MaritalStatus),
-                    _selector_field_to_csv(sel.children, Children),
+                    *(
+                        _selector_field_to_csv(getattr(entry.selector, column), order)
+                        for column, order in _DIMENSIONS
+                    ),
                     entry.provenance.value,
                     entry.source_note,
                 ]
             )
-
-
-def validate_lexicon(lexicon: BiasLexicon) -> list[Violation]:
-    """All invariant breaches; empty list means the lexicon is valid."""
-    violations: list[Violation] = []
-    for entry in lexicon:
-        if not entry.lemma:
-            violations.append(Violation(entry.lemma, "empty lemma"))
-        elif entry.lemma != entry.lemma.lower():
-            violations.append(Violation(entry.lemma, "lemma is not lowercase"))
-        elif any(ch.isspace() for ch in entry.lemma):
-            violations.append(Violation(entry.lemma, "lemma is not a single token"))
-        if not entry.selector.is_valid():
-            violations.append(
-                Violation(entry.lemma, "selector constrains no identity dimension")
-            )
-        if entry.provenance is Provenance.AUTO_SYNONYM and not entry.source_note:
-            violations.append(
-                Violation(entry.lemma, "auto synonym does not record its seed term")
-            )
-    return violations
 
 
 def expand_lexicon(
@@ -299,8 +275,9 @@ def expand_lexicon(
     Every input entry is kept. For each entry, each candidate from
     ``synonyms(lemma)`` whose ``similarity(lemma, candidate)`` is at least
     ``threshold`` becomes a new auto-synonym entry under the same selector,
-    recording the seed lemma. Candidates that are not single tokens, or that
-    collide with an existing (lemma, selector), are skipped.
+    recording the seed lemma. Candidates that :class:`BiasTerm` refuses
+    after normalizing, or that collide with an existing (lemma, selector),
+    are skipped.
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
@@ -312,31 +289,32 @@ def expand_lexicon(
         except Exception as exc:
             raise ProviderFailureError(entry.lemma, str(exc)) from exc
         for raw in candidates:
-            candidate = _normalize_lemma(raw)
-            if not candidate or any(ch.isspace() for ch in candidate):
+            try:
+                term = BiasTerm(
+                    _normalize_lemma(raw),
+                    entry.selector,
+                    Provenance.AUTO_SYNONYM,
+                    source_note=entry.lemma,
+                )
+            except LexiconError:
                 continue
-            key = (candidate, entry.selector)
-            if key in seen:
+            if term.key in seen:
                 continue
             try:
-                score = similarity(entry.lemma, candidate)
+                score = similarity(entry.lemma, term.lemma)
             except Exception as exc:
                 raise ProviderFailureError(entry.lemma, str(exc)) from exc
             if score >= threshold:
-                entries.append(
-                    BiasTerm(
-                        candidate,
-                        entry.selector,
-                        Provenance.AUTO_SYNONYM,
-                        source_note=entry.lemma,
-                    )
-                )
-                seen.add(key)
+                entries.append(term)
+                seen.add(term.key)
     return BiasLexicon(entries)
 
 
-def _table_rows(path: str | Path, header: list[str], what: str) -> Iterator[list[str]]:
-    """The rows of a CSV table after its header, skipping blank ones."""
+def _table_rows(
+    path: str | Path, header: list[str], what: str
+) -> Iterator[tuple[str, list[str]]]:
+    """Each row of a CSV table after its header, skipping blank ones, with
+    the place to name in an error about it."""
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         found = next(reader, None)
@@ -344,24 +322,25 @@ def _table_rows(path: str | Path, header: list[str], what: str) -> Iterator[list
             raise ParseError(f"unexpected {what} table header {found!r}")
         for row in reader:
             if row and row[0].strip():
-                yield row
+                yield f"{what} table line {reader.line_num}", row
 
 
 @dataclass
 class TableSynonymProvider:
     """Synonym candidates read from a CSV table (``lemma,synonyms`` header,
-    candidates ``|``-separated)."""
+    candidates ``|``-separated, each lemma on one row)."""
 
     table: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "TableSynonymProvider":
         table: dict[str, tuple[str, ...]] = {}
-        for row in _table_rows(path, ["lemma", "synonyms"], "synonym"):
+        for where, row in _table_rows(path, ["lemma", "synonyms"], "synonym"):
+            lemma = _normalize_lemma(row[0])
+            if lemma in table:
+                raise ParseError(f"{where}: lemma {lemma!r} is given twice")
             raw = row[1] if len(row) > 1 else ""
-            table[_normalize_lemma(row[0])] = tuple(
-                t.strip() for t in raw.split("|") if t.strip()
-            )
+            table[lemma] = tuple(t.strip() for t in raw.split("|") if t.strip())
         return cls(table)
 
     def __call__(self, lemma: str) -> tuple[str, ...]:
@@ -370,30 +349,34 @@ class TableSynonymProvider:
 
 @dataclass
 class TableSimilarityOracle:
-    """Pair similarities read from a CSV table (``a,b,score`` header).
+    """Pair similarities read from a CSV table (``a,b,score`` header, each
+    pair on one row in either order, each score a number in [0, 1]).
 
     Lookups are symmetric; unknown pairs score 0.
     """
 
-    table: dict[tuple[str, str], float] = field(default_factory=dict)
+    table: dict[frozenset[str], float] = field(default_factory=dict)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "TableSimilarityOracle":
-        table: dict[tuple[str, str], float] = {}
-        for row in _table_rows(path, ["a", "b", "score"], "similarity"):
+        table: dict[frozenset[str], float] = {}
+        for where, row in _table_rows(path, ["a", "b", "score"], "similarity"):
             if len(row) != 3:
-                raise ParseError(f"bad similarity row {row!r}")
-            a, b = _normalize_lemma(row[0]), _normalize_lemma(row[1])
+                raise ParseError(f"{where}: bad similarity row {row!r}")
+            pair = frozenset(map(_normalize_lemma, row[:2]))
+            if pair in table:
+                raise ParseError(f"{where}: pair {row[0]!r}, {row[1]!r} is given twice")
             try:
-                table[(a, b)] = float(row[2])
+                score = float(row[2])
             except ValueError:
-                raise ParseError(f"bad similarity score {row[2]!r}") from None
+                score = math.nan
+            if not 0.0 <= score <= 1.0:  # NaN fails too
+                raise ParseError(f"{where}: score {row[2]!r} is not a number in [0, 1]")
+            table[pair] = score
         return cls(table)
 
     def __call__(self, a: str, b: str) -> float:
-        if (a, b) in self.table:
-            return self.table[(a, b)]
-        return self.table.get((b, a), 0.0)
+        return self.table.get(frozenset((a, b)), 0.0)
 
 
 def load_seed_lexicon() -> BiasLexicon:

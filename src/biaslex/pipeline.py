@@ -240,7 +240,7 @@ def ingest_stage(
     records: list[corpus_mod.GenerationRecord],
     corpus_dir: str | Path,
     detector: str,
-    stopwords_path: str | Path | None,
+    stopwords: frozenset[str],
 ) -> tuple[
     dict[tuple[Language, PromptMethod], corpus_mod.Corpus], corpus_mod.CleaningSummary
 ]:
@@ -252,7 +252,7 @@ def ingest_stage(
     cleaned, cleaning = corpus_mod.clean_records(
         records, corpus_mod.stub_english_detector if detector == "stub" else None
     )
-    corpora = corpus_mod.build_corpus(cleaned, stopwords=load_stopwords(stopwords_path))
+    corpora = corpus_mod.build_corpus(cleaned, stopwords=stopwords)
     corpus_mod.write_corpus_dir(corpora, corpus_dir, cleaning)
     return corpora, cleaning
 
@@ -344,8 +344,11 @@ def report_stage(
 def pipeline_run(config: RunConfig) -> dict:
     """Run all stages, returning a summary of artifacts written.
 
-    Stops at the first failing stage and reports which one failed.
+    Reads the lexicon and the stopword list first, so a missing or malformed
+    one raises before anything is generated or ``out_dir`` is made. Then
+    stops at the first failing stage and reports which one failed.
     """
+    lexicon, stopwords = config.load_lexicon(), load_stopwords(config.stopwords_path)
     out = config.out_dir
 
     def rel(path: Path) -> str:
@@ -362,9 +365,7 @@ def pipeline_run(config: RunConfig) -> dict:
 
         stage = "ingest"
         corpus_dir = out / "corpus"
-        corpora, _ = ingest_stage(
-            records, corpus_dir, config.detector, config.stopwords_path
-        )
+        corpora, _ = ingest_stage(records, corpus_dir, config.detector, stopwords)
         del records  # the corpora hold what the later stages need
         summary["stages"][stage] = {
             "corpus_dir": rel(corpus_dir),
@@ -379,7 +380,7 @@ def pipeline_run(config: RunConfig) -> dict:
         stage = "score"
         scores_path, overall_path = out / "scores.jsonl", out / "overall.jsonl"
         cells, overall_rows = score_stage(
-            corpora, config.load_lexicon(), config.scope, scores_path, overall_path
+            corpora, lexicon, config.scope, scores_path, overall_path
         )
         summary["stages"][stage] = {
             "scores": rel(scores_path),

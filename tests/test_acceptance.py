@@ -17,6 +17,7 @@ import functools
 import hashlib
 import random
 import time
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -54,7 +55,6 @@ from biaslex.lexicon import (
     Provenance,
     expand_lexicon,
     load_seed_lexicon,
-    validate_lexicon,
 )
 from biaslex.pipeline import RunConfig, pipeline_run
 from biaslex.prompts import render_application_prompt, render_debias_prompt
@@ -593,7 +593,20 @@ def test_criterion_7_end_to_end_stub_run(tmp_path):
 def test_criterion_8_seed_lexicon():
     lexicon = load_seed_lexicon()
     assert len(lexicon) == 342
-    assert validate_lexicon(lexicon) == []
+    for entry in lexicon:
+        # a normalized single-token lemma, a selector that constrains some
+        # dimension (each to some value), and an auto synonym with its seed
+        assert entry.lemma == unicodedata.normalize("NFC", entry.lemma).lower()
+        assert entry.lemma.split() == [entry.lemma]
+        sel = entry.selector
+        constrained = [
+            values
+            for values in (sel.religions, sel.genders, sel.marital_statuses, sel.children)
+            if values is not None
+        ]
+        assert constrained and all(constrained)
+        if entry.provenance is Provenance.AUTO_SYNONYM:
+            assert entry.source_note
     terms = lexicon.applicable_terms(
         Identity(Religion.MUSLIM, Gender.MALE, MaritalStatus.SINGLE, Children.NO_CHILDREN)
     )

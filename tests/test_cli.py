@@ -50,6 +50,22 @@ def test_lexicon_validate_bad_file(tmp_path):
     assert run_cli("lexicon", "validate", str(bad)) == 1
 
 
+def test_lexicon_validate_names_the_first_refused_line(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(
+        "lemma,religions,genders,marital_statuses,children,provenance,source_note\n"
+        "violent,muslim,,,,literature,\n"
+        "aggressive,muslim,,,,auto_synonym,\n"
+        "hostile,,,,,literature,\n"
+    )
+    assert run_cli("lexicon", "validate", str(bad)) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert json.loads(line) == {
+        "error": "ParseError",
+        "message": "line 3: auto synonym 'aggressive' does not record its seed",
+    }
+
+
 def test_lexicon_expand_cli(tmp_path):
     lexicon = tmp_path / "lex.csv"
     lexicon.write_text(
@@ -446,6 +462,44 @@ def test_pipeline_refuses_a_malformed_config_before_running(
     assert error["error"] == "ConfigError"
     if named is not None:
         assert named in error["message"]
+    assert not out.exists()
+
+
+UNRECORDED_AUTO_SYNONYM = (
+    "lemma,religions,genders,marital_statuses,children,provenance,source_note\n"
+    "aggressive,muslim,,,,auto_synonym,\n"
+)
+
+
+@pytest.mark.parametrize(
+    "key, content, code",
+    [
+        ("lexicon", None, 3),
+        ("lexicon", "lemma,oops\nviolent,x\n", 1),
+        ("lexicon", UNRECORDED_AUTO_SYNONYM, 1),
+        ("stopwords", None, 3),
+        ("stopwords", b"the\n\xff\n", 1),
+    ],
+    ids=[
+        "missing-lexicon",
+        "malformed-lexicon",
+        "unrecorded-auto-synonym",
+        "missing-stopwords",
+        "undecodable-stopwords",
+    ],
+)
+def test_pipeline_reads_its_lexicon_and_stopwords_before_generating(
+    tmp_path, key, content, code
+):
+    inputs = tmp_path / key
+    if isinstance(content, str):
+        inputs.write_text(content)
+    elif content is not None:
+        inputs.write_bytes(content)
+    out = tmp_path / "run"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"out_dir": str(out), key: str(inputs)}))
+    assert run_cli("pipeline", "--config", str(config)) == code
     assert not out.exists()
 
 

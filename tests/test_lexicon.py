@@ -1,7 +1,8 @@
 import io
+import unicodedata
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from biaslex.identities import (
@@ -27,7 +28,7 @@ from biaslex.lexicon import (
     load_lexicon,
     load_seed_lexicon,
     save_lexicon,
-    validate_lexicon,
+    seed_lexicon_path,
 )
 
 HEADER = "lemma,religions,genders,marital_statuses,children,provenance,source_note"
@@ -205,7 +206,24 @@ def test_seed_lexicon_counts(seed_lexicon):
 
 
 def test_seed_lexicon_validates_cleanly(seed_lexicon):
-    assert validate_lexicon(seed_lexicon) == []
+    for entry in seed_lexicon:
+        lemma = entry.lemma
+        assert lemma == unicodedata.normalize("NFC", lemma).lower()
+        assert lemma.split() == [lemma]
+        selector = entry.selector
+        constrained = [
+            values
+            for values in (
+                selector.religions,
+                selector.genders,
+                selector.marital_statuses,
+                selector.children,
+            )
+            if values is not None
+        ]
+        assert constrained and all(constrained)
+        if entry.provenance is Provenance.AUTO_SYNONYM:
+            assert entry.source_note
 
 
 def test_seed_lexicon_splits_child_count_pairs(seed_lexicon):
@@ -232,41 +250,50 @@ def test_seed_lexicon_keeps_superseded_literature_term(seed_lexicon):
     assert entries["traditional"].provenance is Provenance.MANUAL_SYNONYM
 
 
-def test_validate_flags_uppercase_lemma():
-    lexicon = BiasLexicon(
-        [
-            BiasTerm(
-                "Violent",
-                IdentitySelector(religions=frozenset({Religion.MUSLIM})),
-                Provenance.LITERATURE,
-            )
-        ]
+MUSLIM = IdentitySelector(religions=frozenset({Religion.MUSLIM}))
+
+
+def test_bias_term_refuses_uppercase_lemma():
+    with pytest.raises(ParseError):
+        BiasTerm("Violent", MUSLIM, Provenance.LITERATURE)
+
+
+def test_bias_term_refuses_wildcard_selector():
+    with pytest.raises(EmptySelectorError):
+        BiasTerm("violent", IdentitySelector(), Provenance.LITERATURE)
+
+
+def test_bias_term_refuses_auto_synonym_without_seed():
+    with pytest.raises(ParseError):
+        BiasTerm("aggressive", MUSLIM, Provenance.AUTO_SYNONYM, source_note="")
+
+
+@pytest.mark.parametrize(
+    "lemma, religions, provenance, note, error",
+    [
+        ("Violent", "muslim", Provenance.LITERATURE, "", ParseError),
+        ("very violent", "muslim", Provenance.LITERATURE, "", ParseError),
+        ("", "muslim", Provenance.LITERATURE, "", ParseError),
+        ("violent", "", Provenance.LITERATURE, "", EmptySelectorError),
+        ("aggressive", "muslim", Provenance.AUTO_SYNONYM, "", ParseError),
+    ],
+    ids=["uppercase", "inner-space", "empty", "all-wildcard", "unrecorded-auto-synonym"],
+)
+def test_an_invalid_term_is_refused_in_python_and_as_a_csv_row(
+    lemma, religions, provenance, note, error
+):
+    selector = IdentitySelector(
+        religions=frozenset({Religion(religions)}) if religions else None
     )
-    violations = validate_lexicon(lexicon)
-    assert len(violations) == 1
-    assert violations[0].lemma == "Violent"
-
-
-def test_validate_flags_wildcard_selector():
-    lexicon = BiasLexicon(
-        [BiasTerm("violent", IdentitySelector(), Provenance.LITERATURE)]
-    )
-    violations = validate_lexicon(lexicon)
-    assert len(violations) == 1
-
-
-def test_validate_flags_auto_synonym_without_seed():
-    lexicon = BiasLexicon(
-        [
-            BiasTerm(
-                "aggressive",
-                IdentitySelector(religions=frozenset({Religion.MUSLIM})),
-                Provenance.AUTO_SYNONYM,
-                source_note="",
-            )
-        ]
-    )
-    assert len(validate_lexicon(lexicon)) == 1
+    with pytest.raises(error):
+        BiasTerm(lemma, selector, provenance, note)
+    row = f"{lemma},{religions},,,,{provenance.value},{note}\n"
+    if lemma != lemma.lower():
+        # the loader lowercases a lemma (test_load_normalizes_lemma_case)
+        assert lexicon_from(f"{HEADER}\n{row}").entries[0].lemma == lemma.lower()
+        return
+    with pytest.raises(error, match="^line 3: "):
+        lexicon_from(f"{HEADER}\nhostile,muslim,,,,literature,\n{row}")
 
 
 def test_expand_identity_case():
@@ -406,3 +433,73 @@ def test_table_providers(tmp_path):
     lexicon = lexicon_from(f"{HEADER}\nviolent,muslim,,,,literature,\n")
     expanded = expand_lexicon(lexicon, provider, oracle, 0.5)
     assert expanded.lemmas() == frozenset({"violent", "fierce"})
+
+
+def _values(enum_type):
+    return st.one_of(st.none(), st.frozensets(st.sampled_from(enum_type), min_size=1))
+
+
+@st.composite
+def _valid_terms(draw):
+    lemma = draw(
+        st.text(st.characters(blacklist_categories=("Cs", "Lu", "Lt", "Z")), min_size=1)
+    )
+    selector = draw(
+        st.builds(
+            IdentitySelector,
+            _values(Religion),
+            _values(Gender),
+            _values(MaritalStatus),
+            _values(Children),
+        ).filter(IdentitySelector.is_valid)
+    )
+    provenance = draw(st.sampled_from(Provenance))
+    required = provenance is Provenance.AUTO_SYNONYM
+    note = draw(st.text(st.characters(blacklist_categories=("Cs",)), min_size=required))
+    try:
+        return BiasTerm(lemma, selector, provenance, note)
+    except ParseError:  # a lemma the loader would normalize, or a padded note
+        assume(False)
+
+
+@given(entries=st.lists(_valid_terms(), max_size=8, unique_by=lambda t: t.key))
+@settings(max_examples=200, deadline=None)
+def test_save_then_load_gives_the_same_entries(tmp_path_factory, entries):
+    path = tmp_path_factory.mktemp("round-trip") / "lexicon.csv"
+    save_lexicon(BiasLexicon(entries), path)
+    assert load_lexicon(path).entries == tuple(entries)
+
+
+def test_seed_lexicon_saves_to_the_shipped_bytes(tmp_path):
+    path = tmp_path / "lexicon.csv"
+    save_lexicon(load_seed_lexicon(), path)
+    assert path.read_bytes() == seed_lexicon_path().read_bytes()
+
+
+@pytest.mark.parametrize(
+    "rows, named",
+    [
+        ("violent,fierce,nan\n", "line 2: score 'nan'"),
+        ("violent,fierce,inf\n", "line 2: score 'inf'"),
+        ("violent,fierce,7\n", "line 2: score '7'"),
+        ("violent,fierce,-0.1\n", "line 2: score '-0.1'"),
+        ("violent,fierce,high\n", "line 2: score 'high'"),
+        ("violent,fierce,0.8\nviolent,fierce,0.8\n", "line 3: pair"),
+        ("violent,fierce,0.8\nfierce,violent,0.3\n", "line 3: pair"),
+    ],
+    ids=["nan", "inf", "above-one", "negative", "word", "repeated", "reversed"],
+)
+def test_similarity_table_refuses_what_it_would_misread(tmp_path, rows, named):
+    path = tmp_path / "similarity.csv"
+    path.write_text(f"a,b,score\n{rows}", encoding="utf-8")
+    with pytest.raises(ParseError, match=named):
+        TableSimilarityOracle.from_csv(path)
+
+
+def test_synonym_table_refuses_a_repeated_lemma(tmp_path):
+    path = tmp_path / "synonyms.csv"
+    path.write_text(
+        "lemma,synonyms\nviolent,aggressive\nViolent,brutal|fierce\n", encoding="utf-8"
+    )
+    with pytest.raises(ParseError, match="line 3: lemma 'violent'"):
+        TableSynonymProvider.from_csv(path)
