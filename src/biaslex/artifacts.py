@@ -1,8 +1,10 @@
-"""How an artifact reaches disk, and its JSONL and JSON formats.
+"""How an artifact reaches disk and is read back, in JSONL or JSON.
 
 Every artifact is written to a temp file beside it and renamed into place,
 so a killed run leaves the old file or the new one, never part of one (no
 fsync: a power cut is not covered). Only ``records.jsonl`` is appended to.
+Every JSONL line is read through :func:`parse_row`, which refuses a line
+that is not a row with a :class:`RowError` naming the file and the line.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 
 # json.dumps(row, ensure_ascii=False) builds this same encoder for every call
@@ -58,9 +60,20 @@ def write_json(path: str | Path, data: Any) -> None:
         handle.write(text + "\n")
 
 
-def read_jsonl(path: str | Path) -> Iterator[Any]:
-    """The parsed non-blank lines of a JSONL file."""
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if line.strip():
-                yield json.loads(line)
+class RowError(ValueError):
+    """A line of a JSONL artifact that is not a row of it."""
+
+
+def parse_row(line: bytes, parse: Callable, path: str | Path, number: int) -> Any:
+    """``parse`` of the JSON value on ``line``, line ``number`` of ``path``."""
+    try:
+        return parse(json.loads(line))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise RowError(f"{path}: line {number} is not a row: {exc}") from exc
+
+
+def read_jsonl(path: str | Path, parse: Callable) -> list:
+    """``parse`` of each non-blank line of a JSONL file, in file order."""
+    with open(path, "rb") as handle:
+        lines = enumerate(handle, 1)
+        return [parse_row(line, parse, path, n) for n, line in lines if line.strip()]

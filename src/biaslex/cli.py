@@ -308,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         StageError,
         gen.BackendError,
         OSError,
-        ValueError,  # a ConfigError or CorruptRecordsError among them
+        ValueError,  # a ConfigError or RowError among them
         KeyError,
         LexiconError,
         PromptError,

@@ -93,12 +93,8 @@ class GenerationRecord:
         )
 
 
-def write_records(records: Iterable[GenerationRecord], path: str | Path) -> int:
-    return write_jsonl(path, (record.to_json_dict() for record in records))
-
-
 def read_records(path: str | Path) -> list[GenerationRecord]:
-    return [GenerationRecord.from_json_dict(row) for row in read_jsonl(path)]
+    return read_jsonl(path, GenerationRecord.from_json_dict)
 
 
 @dataclass(frozen=True)
@@ -336,18 +332,21 @@ def write_corpus_dir(
     return written
 
 
+def _document(row: dict) -> Document:
+    tokens = row["tokens"]
+    if not isinstance(tokens, list):  # tuple() would split a string into letters
+        raise TypeError(f"tokens {tokens!r} is not a list")
+    return Document(key=DocumentKey.from_json_dict(row), tokens=tuple(tokens))
+
+
 def read_corpus_file(path: str | Path) -> Corpus:
-    documents = []
-    language = method = None
-    for row in read_jsonl(path):
-        key = DocumentKey.from_json_dict(row)
-        if language is None:
-            language, method = key.language, key.method
-        elif (key.language, key.method) != (language, method):
-            raise ValueError(f"corpus file {path} mixes (language, method) pairs")
-        documents.append(Document(key=key, tokens=tuple(row["tokens"])))
-    if language is None:
+    documents = read_jsonl(path, _document)
+    pairs = {(doc.key.language, doc.key.method) for doc in documents}
+    if not pairs:
         raise ValueError(f"corpus file {path} holds no documents")
+    if len(pairs) > 1:
+        raise ValueError(f"corpus file {path} mixes (language, method) pairs")
+    [(language, method)] = pairs
     return Corpus(language, method, documents)
 
 

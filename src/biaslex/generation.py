@@ -31,7 +31,7 @@ from typing import Sequence
 from urllib.error import HTTPError
 from urllib.request import HTTPRedirectHandler, Request, build_opener
 
-from .artifacts import jsonl_line
+from .artifacts import RowError, jsonl_line, parse_row
 from .corpus import GenerationRecord
 from .identities import (
     Application,
@@ -62,11 +62,6 @@ class PrerequisiteMissingError(Exception):
 
 class ConfigError(ValueError):
     """The run configuration is malformed or inconsistent."""
-
-
-class CorruptRecordsError(ValueError):
-    """A record file holds a line, other than an unfinished last one, that
-    is not a record."""
 
 
 def check_number(
@@ -300,14 +295,6 @@ def record_id_for(
     return "-".join(parts)
 
 
-# what a line that is not a record raises on its way to a GenerationRecord
-_UNPARSEABLE = (ValueError, KeyError, TypeError, AttributeError)
-
-
-def _parse_record(line: bytes) -> GenerationRecord:
-    return GenerationRecord.from_json_dict(json.loads(line))
-
-
 class RecordSink:
     """Append-only JSONL store; one complete record per line.
 
@@ -315,8 +302,8 @@ class RecordSink:
     newline that does not parse was cut short by a crash mid-write: it is
     truncated away (``dropped_tail`` notes where), so its cell is generated
     again. Any other line that does not parse raises
-    :class:`CorruptRecordsError`. The file stays open for appending until
-    :meth:`close`; every line is flushed as it is written.
+    :class:`~biaslex.artifacts.RowError`. The file stays open for appending
+    until :meth:`close`; every line is flushed as it is written.
 
     ``records`` holds every record of the file, in file order: those read
     when it was opened, then those appended. So the file is parsed once per
@@ -336,33 +323,29 @@ class RecordSink:
             self._load()
 
     def _load(self) -> None:
+        parse, path = GenerationRecord.from_json_dict, self.path
         complete = 0  # bytes up to the end of the last complete line
         tail = None
-        with open(self.path, "rb") as handle:
+        with open(path, "rb") as handle:
             for number, line in enumerate(handle, 1):
                 if not line.endswith(b"\n"):
                     tail = (number, line)
                     break
                 complete += len(line)
                 if line.strip():
-                    try:
-                        self._index(_parse_record(line))
-                    except _UNPARSEABLE as exc:
-                        raise CorruptRecordsError(
-                            f"{self.path}: line {number} is not a record: {exc}"
-                        ) from exc
+                    self._index(parse_row(line, parse, path, number))
         if tail is None or not tail[1].strip():
             return
         number, line = tail
         try:
-            record = _parse_record(line)
-        except _UNPARSEABLE:
-            with open(self.path, "r+b") as handle:
+            record = parse_row(line, parse, path, number)
+        except RowError:
+            with open(path, "r+b") as handle:
                 handle.truncate(complete)
             self.dropped_tail = {"line": number, "bytes": len(line)}
         else:
             # complete but unterminated: end it so the next append starts afresh
-            with open(self.path, "ab") as handle:
+            with open(path, "ab") as handle:
                 handle.write(b"\n")
             self._index(record)
 

@@ -313,15 +313,15 @@ def expand_lexicon(
 def _table_rows(
     path: str | Path, header: list[str], what: str
 ) -> Iterator[tuple[str, list[str]]]:
-    """Each row of a CSV table after its header, skipping blank ones, with
-    the place to name in an error about it."""
+    """Each row of a CSV table after its header that has a non-blank cell,
+    with the place to name in an error about it."""
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         found = next(reader, None)
         if found != header:
             raise ParseError(f"unexpected {what} table header {found!r}")
         for row in reader:
-            if row and row[0].strip():
+            if any(cell.strip() for cell in row):
                 yield f"{what} table line {reader.line_num}", row
 
 
@@ -337,6 +337,8 @@ class TableSynonymProvider:
         table: dict[str, tuple[str, ...]] = {}
         for where, row in _table_rows(path, ["lemma", "synonyms"], "synonym"):
             lemma = _normalize_lemma(row[0])
+            if not lemma or len(row) > 2:
+                raise ParseError(f"{where}: bad synonym row {row!r}")
             if lemma in table:
                 raise ParseError(f"{where}: lemma {lemma!r} is given twice")
             raw = row[1] if len(row) > 1 else ""
@@ -361,9 +363,9 @@ class TableSimilarityOracle:
     def from_csv(cls, path: str | Path) -> "TableSimilarityOracle":
         table: dict[frozenset[str], float] = {}
         for where, row in _table_rows(path, ["a", "b", "score"], "similarity"):
-            if len(row) != 3:
-                raise ParseError(f"{where}: bad similarity row {row!r}")
             pair = frozenset(map(_normalize_lemma, row[:2]))
+            if len(row) != 3 or "" in pair:  # an empty lemma
+                raise ParseError(f"{where}: bad similarity row {row!r}")
             if pair in table:
                 raise ParseError(f"{where}: pair {row[0]!r}, {row[1]!r} is given twice")
             try:

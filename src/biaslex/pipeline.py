@@ -370,10 +370,8 @@ def pipeline_run(config: RunConfig) -> dict:
         summary["stages"][stage] = {
             "corpus_dir": rel(corpus_dir),
             "documents": {
-                f"{lang.value}/{method.value}": corpora[(lang, method)].N
-                for (lang, method) in sorted(
-                    corpora, key=lambda lm: (lm[0].value, lm[1].value)
-                )
+                f"{lang.value}/{method.value}": corpus.N
+                for (lang, method), corpus in corpora.items()
             },
         }
 

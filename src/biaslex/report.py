@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from statistics import fmean, pstdev
 from typing import Sequence
 
-from .corpus import DocumentKey
 from .identities import (
     ApplicationKind,
     Identity,
@@ -24,7 +23,7 @@ from .identities import (
     PromptMethod,
     enumerate_identities,
 )
-from .scoring import ScoreCell
+from .scoring import OverallRow, ScoreCell
 
 
 class ReportError(Exception):
@@ -85,6 +84,10 @@ class ReportTable:
     top_bias_tfidf_bins: tuple[BinClass | None, ...]
     top_overall_tfidf_bins: tuple[BinClass | None, ...]
 
+    @property
+    def title(self) -> str:
+        return f"{self.language.label} / {self.application.value} / {self.method.value}"
+
 
 def _bin_or_absent(values: list[float | None]) -> tuple[BinClass | None, ...]:
     if all(v is None for v in values):
@@ -94,7 +97,7 @@ def _bin_or_absent(values: list[float | None]) -> tuple[BinClass | None, ...]:
 
 def build_report(
     scores: Sequence[ScoreCell],
-    overall: Sequence[tuple[DocumentKey, tuple[str, float] | None]],
+    overall: Sequence[OverallRow],
     language: Language,
     application: ApplicationKind,
     method: PromptMethod,
@@ -105,14 +108,12 @@ def build_report(
     get absent cells. Supplying two cells for one identity is an error.
     """
     score_by_identity: dict[Identity, ScoreCell] = {}
-    overall_by_identity: dict[Identity, tuple] = {}  # identity -> (key, top)
-    for source, by_identity, what in (
-        (scores, score_by_identity, "score cell"),
-        (overall, overall_by_identity, "overall row"),
+    overall_by_identity: dict[Identity, tuple[str, float] | None] = {}
+    for what, by_identity, keyed in (
+        ("score cell", score_by_identity, ((cell.key, cell) for cell in scores)),
+        ("overall row", overall_by_identity, overall),
     ):
-        is_cell = by_identity is score_by_identity
-        for row in source:
-            key = row.key if is_cell else row[0]
+        for key, value in keyed:
             if (
                 key.language is language
                 and key.application is application
@@ -120,12 +121,12 @@ def build_report(
             ):
                 if key.identity in by_identity:
                     raise ReportError(f"duplicate {what} for {key.identity}")
-                by_identity[key.identity] = row
+                by_identity[key.identity] = value
 
     rows = []
     for identity in enumerate_identities():
         cell = score_by_identity.get(identity)
-        top_overall = overall_by_identity.get(identity, (None, None))[1]
+        top_overall = overall_by_identity.get(identity)
         rows.append(
             ReportRow(
                 identity=identity,
@@ -204,7 +205,7 @@ def _render_csv(table: ReportTable) -> str:
 
 def _render_markdown(table: ReportTable) -> str:
     lines = [
-        f"# {table.language.label} / {table.application.value} / {table.method.value}",
+        f"# {table.title}",
         "",
         "| " + " | ".join(_COLUMNS) + " |",
         "| " + " | ".join("---" for _ in _COLUMNS) + " |",
@@ -227,16 +228,13 @@ _HTML_STYLE = (
 def _render_html(table: ReportTable) -> str:
     # bins become td classes, so the _bin columns have no cells of their own
     columns = [c for c in _COLUMNS if not c.endswith("_bin")]
-    title = (
-        f"{table.language.label} / {table.application.value} / {table.method.value}"
-    )
     parts = [
         "<!DOCTYPE html>",
         "<html><head><meta charset=\"utf-8\">",
-        f"<title>{html.escape(title)}</title>",
+        f"<title>{html.escape(table.title)}</title>",
         f"<style>\n{_HTML_STYLE}</style>",
         "</head><body>",
-        f"<h1>{html.escape(title)}</h1>",
+        f"<h1>{html.escape(table.title)}</h1>",
         "<table>",
         "<tr>" + "".join(f"<th>{html.escape(c)}</th>" for c in columns) + "</tr>",
     ]

@@ -35,6 +35,10 @@ class EmptyCorpusError(ScoringError):
     """IDF is undefined over a corpus with no documents."""
 
 
+# a document and its top overall term, as a row of overall.jsonl
+OverallRow = tuple[DocumentKey, tuple[str, float] | None]
+
+
 class Scope(enum.Enum):
     IDENTITY_SCOPED = "identity"
     ALL_TERMS = "all"
@@ -91,6 +95,16 @@ def _argmax_term(values: dict[str, float]) -> tuple[str, float] | None:
     return min(values.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
+def _top_term(value: object) -> tuple[str, float] | None:
+    """A row's ``top_term``: ``null`` or a ``[term, weight]`` pair."""
+    match value:
+        case None:
+            return None
+        case [str() as term, float() | int() as weight] if type(weight) is not bool:
+            return term, weight
+    raise ValueError(f"top_term {value!r} is not null or a [term, weight] pair")
+
+
 @dataclass(frozen=True)
 class ScoreCell:
     """Bias score and matched-term weights for one document."""
@@ -123,12 +137,11 @@ class ScoreCell:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScoreCell":
-        top = data.get("top_term")
         return cls(
             key=DocumentKey.from_json_dict(data),
             bias_score=data["bias_score"],
-            per_term=dict(data.get("per_term", {})),
-            top_term=(top[0], top[1]) if top else None,
+            per_term=dict(data["per_term"]),
+            top_term=_top_term(data["top_term"]),
         )
 
 
@@ -179,9 +192,7 @@ def score_corpus(
     ]
 
 
-def overall_top_terms(
-    corpus: Corpus,
-) -> list[tuple[DocumentKey, tuple[str, float] | None]]:
+def overall_top_terms(corpus: Corpus) -> list[OverallRow]:
     """:func:`top_overall_term` of every document, from one idf table."""
     idf = _idf_table(corpus, corpus.vocabulary())
     return [
@@ -195,13 +206,10 @@ def write_scores(cells: Iterable[ScoreCell], path: str | Path) -> int:
 
 
 def read_scores(path: str | Path) -> list[ScoreCell]:
-    return [ScoreCell.from_json_dict(row) for row in read_jsonl(path)]
+    return read_jsonl(path, ScoreCell.from_json_dict)
 
 
-def write_overall_terms(
-    rows: Iterable[tuple[DocumentKey, tuple[str, float] | None]],
-    path: str | Path,
-) -> int:
+def write_overall_terms(rows: Iterable[OverallRow], path: str | Path) -> int:
     return write_jsonl(
         path,
         (
@@ -215,11 +223,9 @@ def write_overall_terms(
     )
 
 
-def read_overall_terms(
-    path: str | Path,
-) -> list[tuple[DocumentKey, tuple[str, float] | None]]:
-    rows = []
-    for data in read_jsonl(path):
-        top = data.get("top_term")
-        rows.append((DocumentKey.from_json_dict(data), tuple(top) if top else None))
-    return rows
+def _overall_row(data: dict) -> OverallRow:
+    return DocumentKey.from_json_dict(data), _top_term(data["top_term"])
+
+
+def read_overall_terms(path: str | Path) -> list[OverallRow]:
+    return read_jsonl(path, _overall_row)

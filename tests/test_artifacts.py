@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import sys
 import threading
 from pathlib import Path
@@ -11,11 +12,16 @@ import pytest
 
 import biaslex
 from biaslex.aggregate import AverageQuery, AverageResult, write_averages_csv
-from biaslex.artifacts import atomic_open, read_jsonl, write_json, write_jsonl
-from biaslex.corpus import GenerationRecord, write_corpus_dir, write_records
+from biaslex.artifacts import (
+    RowError,
+    atomic_open,
+    read_jsonl,
+    write_json,
+    write_jsonl,
+)
+from biaslex.corpus import write_corpus_dir
 from biaslex.identities import Language, PromptMethod
 from biaslex.lexicon import load_seed_lexicon, save_lexicon
-from biaslex.prompts import iter_prompt_matrix
 from biaslex.scoring import score_corpus, write_overall_terms, write_scores
 
 from conftest import make_corpus, make_documents
@@ -37,17 +43,6 @@ def _write_lines(path, rows):
             handle.write(row)
 
 
-def _records():
-    matrix = iter_prompt_matrix(Language.HINDI)[:6]
-    return [
-        GenerationRecord(
-            f"r{n}", Language.HINDI, PromptMethod.ORIGINAL, identity, app, prompt,
-            "output", "output",
-        )
-        for n, (identity, app, prompt) in enumerate(matrix)
-    ]
-
-
 _CORPUS = make_corpus([["violent", "pious", "home"]] * 6)
 _PAIR = (Language.HINDI, PromptMethod.ORIGINAL)
 
@@ -60,9 +55,6 @@ WRITERS = {
     # through the document rather than in the iterator
     "write_json": (
         "a.json", lambda path, rows: write_json(path, {"rows": rows}), [1, 2, 3]
-    ),
-    "write_records": (
-        "records.jsonl", lambda path, rows: write_records(rows, path), _records()
     ),
     "write_corpus_dir": (
         "corpus_hindi_original.jsonl",
@@ -143,7 +135,7 @@ def test_concurrent_writers_leave_one_whole_file(tmp_path):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    rows = list(read_jsonl(path))
+    rows = read_jsonl(path, dict)
     assert [row["line"] for row in rows] == list(range(2000))
     assert len({row["writer"] for row in rows}) == 1
     assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
@@ -155,7 +147,14 @@ def test_jsonl_round_trip_skips_blank_lines(tmp_path):
     assert write_jsonl(path, iter(rows)) == 2
     assert path.read_text(encoding="utf-8").count("\n") == 2
     path.write_text(path.read_text(encoding="utf-8") + "\n  \n", encoding="utf-8")
-    assert list(read_jsonl(path)) == rows
+    assert read_jsonl(path, dict) == rows
+
+
+def test_read_jsonl_names_the_physical_line_it_refuses(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"n": 1}\n\n{"n": \n')
+    with pytest.raises(RowError, match=f"^{re.escape(str(path))}: line 3 is not a row: "):
+        read_jsonl(path, dict)
 
 
 def test_write_json_format(tmp_path):

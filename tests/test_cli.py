@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import shlex
+import shutil
 from pathlib import Path
 
 import pytest
@@ -265,6 +266,101 @@ def test_generate_run_refuses_a_corrupt_record_file(stub_run, tmp_path, capsys):
     assert code == 1
     diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert "line 3 " in diagnostic["message"]
+
+
+@pytest.fixture(scope="module")
+def scored_run(stub_run, tmp_path_factory):
+    """The stub run's records, corpus, scores and overall terms in one tree."""
+    _, _, gen_out = stub_run
+    root = tmp_path_factory.mktemp("scored")
+    shutil.copyfile(gen_out / "records.jsonl", root / "records.jsonl")
+    assert run_cli(
+        "ingest", "--in", str(root / "records.jsonl"), "--out", str(root / "corpus")
+    ) == 0
+    assert run_cli(
+        "score", "--corpus", str(root / "corpus"), "--out", str(root / "scores.jsonl"),
+        "--overall-out", str(root / "overall.jsonl"),
+    ) == 0
+    return root
+
+
+def _cut_short(line: bytes) -> bytes:
+    return line[: len(line) // 2]
+
+
+def _without(field: str):
+    def edit(line: bytes) -> bytes:
+        row = json.loads(line)
+        del row[field]
+        return json.dumps(row).encode() + b"\n"
+
+    return edit
+
+
+def _as_a_string(field: str):
+    def edit(line: bytes) -> bytes:
+        row = json.loads(line)
+        row[field] = str(row[field])
+        return json.dumps(row).encode() + b"\n"
+
+    return edit
+
+
+# argv with {run} for the copied tree, the artifact it reads, the line to
+# edit (-1 for the last) and the edit
+_CORRUPT_READS = {
+    "ingest-cut-last-record": (
+        "ingest --in {run}/records.jsonl --out {run}/corpus2",
+        "records.jsonl", -1, _cut_short,
+    ),
+    "prompts-emit-source-records": (
+        "prompts emit --language hindi --methods simple"
+        " --source-records {run}/records.jsonl --out {run}/prompts.jsonl",
+        "records.jsonl", 10, lambda line: b'{"record_id": 5}\n',
+    ),
+    "score-corpus": (
+        "score --corpus {run}/corpus --out {run}/s.jsonl --overall-out {run}/o.jsonl",
+        "corpus/corpus_hindi_simple.jsonl", 41,
+        lambda line: _cut_short(line) + b"\n",
+    ),
+    "score-corpus-tokens-as-a-string": (
+        "score --corpus {run}/corpus --out {run}/s.jsonl --overall-out {run}/o.jsonl",
+        "corpus/corpus_hindi_original.jsonl", 3, _as_a_string("tokens"),
+    ),
+    "aggregate-scores": (
+        "aggregate --scores {run}/scores.jsonl --out {run}/averages",
+        "scores.jsonl", 20, lambda line: _cut_short(line) + b"\n",
+    ),
+    "report-overall": (
+        "report --scores {run}/scores.jsonl --overall {run}/overall.jsonl"
+        " --out {run}/reports",
+        "overall.jsonl", 7, _as_a_string("top_term"),
+    ),
+    "report-scores-without-per-term": (
+        "report --scores {run}/scores.jsonl --overall {run}/overall.jsonl"
+        " --out {run}/reports",
+        "scores.jsonl", 6, _without("per_term"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _CORRUPT_READS)
+def test_a_command_refuses_an_artifact_line_that_is_not_a_row(
+    scored_run, tmp_path, capsys, case
+):
+    argv, artifact, number, edit = _CORRUPT_READS[case]
+    run = tmp_path / "run"
+    shutil.copytree(scored_run, run)
+    path = run / artifact
+    lines = path.read_bytes().splitlines(keepends=True)
+    if number == -1:
+        number = len(lines)
+    lines[number - 1] = edit(lines[number - 1])
+    path.write_bytes(b"".join(lines))
+    assert run_cli(*shlex.split(argv.format(run=run))) == 1
+    diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diagnostic["error"] == "RowError"
+    assert diagnostic["message"].startswith(f"{path}: line {number} is not a row: ")
 
 
 def test_ingest_score_aggregate_report_chain(stub_run, tmp_path):

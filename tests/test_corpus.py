@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from biaslex.artifacts import write_jsonl
 from biaslex.corpus import (
     CleaningSummary,
     Corpus,
@@ -19,7 +20,6 @@ from biaslex.corpus import (
     read_records,
     stub_english_detector,
     write_corpus_dir,
-    write_records,
 )
 from biaslex.identities import (
     Application,
@@ -322,7 +322,7 @@ def test_build_corpus_is_permutation_invariant(seed):
 def test_records_round_trip(tmp_path):
     records = full_grid_records()[:10]
     path = tmp_path / "records.jsonl"
-    assert write_records(records, path) == 10
+    assert write_jsonl(path, (r.to_json_dict() for r in records)) == 10
     assert read_records(path) == records
 
 

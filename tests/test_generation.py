@@ -15,11 +15,11 @@ from urllib.error import HTTPError
 import pytest
 
 from biaslex import generation
-from biaslex.corpus import read_records, write_records
+from biaslex.artifacts import RowError, write_jsonl
+from biaslex.corpus import read_records
 from biaslex.generation import (
     BackendError,
     BackendUnavailableError,
-    CorruptRecordsError,
     GenerationConfig,
     HttpBackend,
     MalformedResponseError,
@@ -546,7 +546,8 @@ def test_truncation_inside_a_multibyte_character_is_a_partial_write(tmp_path):
     path = tmp_path / "records.jsonl"
     _original_run(path)
     first, second = read_records(path)[:2]
-    write_records([first, replace(second, raw_output="आज बाज़ार")], path)
+    records = [first, replace(second, raw_output="आज बाज़ार")]
+    write_jsonl(path, (r.to_json_dict() for r in records))
     data = path.read_bytes()
     path.write_bytes(data[: data.index("बाज़ार".encode()) + 1])
 
@@ -561,7 +562,8 @@ def test_line_separator_inside_a_record_is_not_a_line_break(tmp_path):
     path = tmp_path / "records.jsonl"
     _original_run(path)
     first = read_records(path)[0]
-    write_records([replace(first, raw_output="one\u2028two\x85three")], path)
+    row = replace(first, raw_output="one\u2028two\x85three").to_json_dict()
+    write_jsonl(path, [row])
     sink = RecordSink(path)
     assert first.record_id in sink and sink.dropped_tail is None
 
@@ -590,7 +592,7 @@ def test_corrupt_line_before_the_last_is_refused(tmp_path):
     lines = _original_run(path).splitlines(keepends=True)
     lines[4] = lines[4][:30] + b"\n"
     path.write_bytes(b"".join(lines))
-    with pytest.raises(CorruptRecordsError, match="line 5 ") as info:
+    with pytest.raises(RowError, match="line 5 ") as info:
         RecordSink(path)
     assert isinstance(info.value, ValueError)
     assert path.read_bytes() == b"".join(lines)
@@ -601,7 +603,7 @@ def test_a_record_off_the_grid_is_refused(tmp_path):
     lines = _original_run(path).splitlines(keepends=True)
     lines[2] = lines[2].replace(b'"religion": "hindu"', b'"religion": "jain"', 1)
     path.write_bytes(b"".join(lines))
-    with pytest.raises(CorruptRecordsError, match="line 3 .*'jain' is not a valid"):
+    with pytest.raises(RowError, match="line 3 .*'jain' is not a valid"):
         RecordSink(path)
 
 

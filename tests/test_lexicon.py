@@ -486,14 +486,34 @@ def test_seed_lexicon_saves_to_the_shipped_bytes(tmp_path):
         ("violent,fierce,high\n", "line 2: score 'high'"),
         ("violent,fierce,0.8\nviolent,fierce,0.8\n", "line 3: pair"),
         ("violent,fierce,0.8\nfierce,violent,0.3\n", "line 3: pair"),
+        (",fierce,0.9\n", "line 2: bad similarity row"),
+        ("violent,,0.8\n", "line 2: bad similarity row"),
     ],
-    ids=["nan", "inf", "above-one", "negative", "word", "repeated", "reversed"],
+    ids=[
+        "nan", "inf", "above-one", "negative", "word", "repeated", "reversed",
+        "no-first-lemma", "no-second-lemma",
+    ],
 )
 def test_similarity_table_refuses_what_it_would_misread(tmp_path, rows, named):
     path = tmp_path / "similarity.csv"
     path.write_text(f"a,b,score\n{rows}", encoding="utf-8")
     with pytest.raises(ParseError, match=named):
         TableSimilarityOracle.from_csv(path)
+
+
+@pytest.mark.parametrize(
+    "rows, named",
+    [
+        ("violent,fierce,brutal\n", "line 2: bad synonym row"),
+        (",fierce\n", "line 2: bad synonym row"),
+    ],
+    ids=["three-cells", "no-lemma"],
+)
+def test_synonym_table_refuses_what_it_would_misread(tmp_path, rows, named):
+    path = tmp_path / "synonyms.csv"
+    path.write_text(f"lemma,synonyms\n{rows}", encoding="utf-8")
+    with pytest.raises(ParseError, match=named):
+        TableSynonymProvider.from_csv(path)
 
 
 def test_synonym_table_refuses_a_repeated_lemma(tmp_path):
