@@ -95,27 +95,12 @@ class AverageResult:
     n: int
 
 
-def _average(cells: Iterable[ScoreCell], query: AverageQuery) -> AverageResult:
+def average(cells: Iterable[ScoreCell], query: AverageQuery) -> AverageResult:
+    """Mean bias score over the cells ``query`` matches, one query at a time."""
     matched = [cell.bias_score for cell in cells if query.matches(cell)]
     if not matched:
         raise NoMatchingCellsError(f"no cells match {query}")
     return AverageResult(query=query, mean=fmean(matched), n=len(matched))
-
-
-def average_by_subdimension(
-    cells: Sequence[ScoreCell], query: AverageQuery
-) -> AverageResult:
-    """Mean bias score over cells whose identity has the queried sub-dimension."""
-    if query.dimension is None:
-        raise ValueError("average_by_subdimension requires a dimension")
-    return _average(cells, query)
-
-
-def average_by_method(cells: Sequence[ScoreCell], query: AverageQuery) -> AverageResult:
-    """Mean bias score over all cells for one (application, method, family)."""
-    if query.dimension is not None:
-        raise ValueError("average_by_method takes a query without a dimension")
-    return _average(cells, query)
 
 
 class SeriesAxis(enum.Enum):

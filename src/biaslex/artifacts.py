@@ -69,7 +69,10 @@ def parse_row(line: bytes, parse: Callable, path: str | Path, number: int) -> An
     try:
         return parse(json.loads(line))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise RowError(f"{path}: line {number} is not a row: {exc}") from exc
+        reason = exc
+        if isinstance(exc, json.JSONDecodeError):  # its "line" is within this one
+            reason = f"{exc.msg}: column {exc.colno}"
+        raise RowError(f"{path}: line {number} is not a row: {reason}") from exc
 
 
 def read_jsonl(path: str | Path, parse: Callable) -> list:

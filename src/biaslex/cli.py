@@ -27,6 +27,7 @@ from .lexicon import (
     seed_lexicon_path,
 )
 from .pipeline import (
+    DETECTORS,
     RunConfig,
     StageError,
     aggregate_stage,
@@ -263,13 +264,15 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--in", dest="infile", required=True)
     ingest.add_argument("--out", required=True)
     ingest.add_argument("--stopwords", default=None)
-    ingest.add_argument("--detector", choices=["stub", "none"], default="stub")
+    ingest.add_argument("--detector", choices=DETECTORS, default="stub")
     ingest.set_defaults(func=cmd_ingest)
 
     score = sub.add_parser("score", help="compute bias scores over corpora")
     score.add_argument("--corpus", required=True, help="corpus directory")
     score.add_argument("--lexicon", default=str(seed_lexicon_path()))
-    score.add_argument("--scope", choices=["identity", "all"], default="identity")
+    score.add_argument(
+        "--scope", choices=[s.value for s in scoring.Scope], default="identity"
+    )
     score.add_argument("--out", required=True)
     score.add_argument("--overall-out", required=True)
     score.set_defaults(func=cmd_score)

@@ -173,9 +173,6 @@ class Corpus:
     def __iter__(self):
         return iter(self.documents.values())
 
-    def __len__(self) -> int:
-        return len(self.documents)
-
     @cached_property
     def _document_frequencies(self) -> Counter:
         counts: Counter = Counter()

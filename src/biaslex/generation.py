@@ -29,6 +29,7 @@ from http.client import HTTPException
 from pathlib import Path
 from typing import Sequence
 from urllib.error import HTTPError
+from urllib.parse import urlsplit
 from urllib.request import HTTPRedirectHandler, Request, build_opener
 
 from .artifacts import RowError, jsonl_line, parse_row
@@ -220,6 +221,12 @@ class HttpBackend:
         check_number("backoff", self.backoff, 0)
         if not self.translate_url:
             object.__setattr__(self, "translate_url", self.url)
+        for name in ("url", "translate_url"):
+            parts = urlsplit(getattr(self, name))
+            if parts.scheme not in ("http", "https") or not parts.hostname:
+                raise ConfigError(
+                    f"{name} must be an http(s) URL with a host: {getattr(self, name)!r}"
+                )
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}

@@ -71,6 +71,10 @@ def _backend(block: object) -> gen.HttpBackend | None:
     return None
 
 
+# ingest's language check by name: "none" keeps every record
+DETECTORS = {"stub": corpus_mod.stub_english_detector, "none": None}
+
+
 @dataclass
 class RunConfig:
     """Validated settings for a pipeline run."""
@@ -98,8 +102,8 @@ class RunConfig:
                 raise ConfigError(f"{key!r} repeats {', '.join(sorted(repeated))}")
         gen.check_number("seed", self.seed, integer=True)
         gen.check_number("concurrency", self.concurrency, 1, integer=True)
-        if self.detector not in ("stub", "none"):
-            raise ConfigError(f"detector must be 'stub' or 'none', got {self.detector!r}")
+        if self.detector not in DETECTORS:
+            raise ConfigError(f"detector must be one of {list(DETECTORS)}: {self.detector!r}")
         if not isinstance(self.backend, gen.HttpBackend | None):
             raise ConfigError(f"backend is not an HttpBackend: {self.backend!r}")
 
@@ -244,14 +248,9 @@ def ingest_stage(
 ) -> tuple[
     dict[tuple[Language, PromptMethod], corpus_mod.Corpus], corpus_mod.CleaningSummary
 ]:
-    """Clean the records, build one corpus per (language, method) and write them.
-
-    ``detector`` is ``"stub"`` for the ASCII-ratio English check or
-    ``"none"`` to keep every record.
-    """
-    cleaned, cleaning = corpus_mod.clean_records(
-        records, corpus_mod.stub_english_detector if detector == "stub" else None
-    )
+    """Clean the records, build one corpus per (language, method) and write
+    them; ``detector`` names one of :data:`DETECTORS`."""
+    cleaned, cleaning = corpus_mod.clean_records(records, DETECTORS[detector])
     corpora = corpus_mod.build_corpus(cleaned, stopwords=stopwords)
     corpus_mod.write_corpus_dir(corpora, corpus_dir, cleaning)
     return corpora, cleaning

@@ -23,15 +23,10 @@ from typing import Iterable
 
 from .artifacts import read_jsonl, write_jsonl
 from .corpus import Corpus, Document, DocumentKey
-from .identities import Identity
 from .lexicon import BiasLexicon
 
 
-class ScoringError(Exception):
-    pass
-
-
-class EmptyCorpusError(ScoringError):
+class EmptyCorpusError(Exception):
     """IDF is undefined over a corpus with no documents."""
 
 
@@ -100,9 +95,23 @@ def _top_term(value: object) -> tuple[str, float] | None:
     match value:
         case None:
             return None
-        case [str() as term, float() | int() as weight] if type(weight) is not bool:
-            return term, weight
+        case [str() as term, weight]:
+            return term, _weight("top_term weight", weight)
     raise ValueError(f"top_term {value!r} is not null or a [term, weight] pair")
+
+
+def _weight(name: str, value: object) -> float:
+    """A row's ``name``: a JSON number, not a bool (an int subclass)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{name} {value!r} is not a number")
+
+
+def _per_term(value: object) -> dict[str, float]:
+    """A row's ``per_term``: an object mapping each term to its weight."""
+    if not isinstance(value, dict):
+        raise ValueError(f"per_term {value!r} is not an object")
+    return {term: _weight(f"per_term[{term!r}]", w) for term, w in value.items()}
 
 
 @dataclass(frozen=True)
@@ -123,10 +132,6 @@ class ScoreCell:
             top_term=_argmax_term(per_term),
         )
 
-    @property
-    def identity(self) -> Identity:
-        return self.key.identity
-
     def to_json_dict(self) -> dict:
         row = self.key.to_json_dict()
         row["family"] = self.key.language.family.value
@@ -139,8 +144,8 @@ class ScoreCell:
     def from_json_dict(cls, data: dict) -> "ScoreCell":
         return cls(
             key=DocumentKey.from_json_dict(data),
-            bias_score=data["bias_score"],
-            per_term=dict(data["per_term"]),
+            bias_score=_weight("bias_score", data["bias_score"]),
+            per_term=_per_term(data["per_term"]),
             top_term=_top_term(data["top_term"]),
         )
 
@@ -155,34 +160,13 @@ def _scoped_terms(doc: Document, lexicon: BiasLexicon, scope: Scope) -> list[str
     return sorted(doc.distinct_terms & eligible)
 
 
-def bias_score(
-    doc: Document,
-    corpus: Corpus,
-    lexicon: BiasLexicon,
-    scope: Scope = Scope.IDENTITY_SCOPED,
-) -> ScoreCell:
-    """Sum tfidf over the lexicon lemmas present in the document.
-
-    With identity scoping, only lemmas whose selector matches the
-    document's identity are counted; otherwise every lexicon lemma counts.
-    """
-    terms = _scoped_terms(doc, lexicon, scope)
-    idf = _idf_table(corpus, terms)
-    return ScoreCell.from_terms(doc.key, _weights(doc, terms, idf))
-
-
-def top_overall_term(doc: Document, corpus: Corpus) -> tuple[str, float] | None:
-    """Highest-weighted term of the document; ``None`` when it is empty."""
-    terms = doc.distinct_terms
-    return _argmax_term(_weights(doc, terms, _idf_table(corpus, terms)))
-
-
 def score_corpus(
     corpus: Corpus,
     lexicon: BiasLexicon,
     scope: Scope = Scope.IDENTITY_SCOPED,
 ) -> list[ScoreCell]:
-    """:func:`bias_score` of every document, from one idf table."""
+    """Each document's bias score, from one idf table; under identity
+    scoping only the lemmas whose selector matches its identity count."""
     idf = _idf_table(corpus, corpus.vocabulary())
     return [
         ScoreCell.from_terms(
@@ -193,7 +177,8 @@ def score_corpus(
 
 
 def overall_top_terms(corpus: Corpus) -> list[OverallRow]:
-    """:func:`top_overall_term` of every document, from one idf table."""
+    """Highest :func:`overall_tfidf` term of every document, from one idf
+    table; ``None`` for an empty document."""
     idf = _idf_table(corpus, corpus.vocabulary())
     return [
         (doc.key, _argmax_term(_weights(doc, doc.distinct_terms, idf)))

@@ -29,8 +29,7 @@ from conftest import make_corpus
 from biaslex.aggregate import (
     AverageQuery,
     Dimension,
-    average_by_method,
-    average_by_subdimension,
+    average,
     subdimension_value,
 )
 from biaslex.corpus import DocumentKey, read_corpus_dir, read_records
@@ -64,10 +63,10 @@ from biaslex.scoring import (
     ScoreCell,
     bias_df,
     bias_idf,
-    bias_score,
     bias_tf,
     bias_tfidf,
     overall_tfidf,
+    score_corpus,
 )
 
 
@@ -141,7 +140,7 @@ def test_criterion_2_average_worked_examples():
             _cell(_MUSLIM_SINGLE_MAN, a, method),
             _cell(_HINDU_SINGLE_FATHER, b, method),
         ]
-        result = average_by_method(cells, AverageQuery(method=method, **base))
+        result = average(cells, AverageQuery(method=method, **base))
         assert abs(result.mean - expected) < 1e-12, (method, result.mean)
 
     original = [
@@ -157,7 +156,7 @@ def test_criterion_2_average_worked_examples():
         (Dimension.CHILDREN, Children.MANY_CHILDREN, 0.03),
     ]
     for dimension, sub, expected in slice_cases:
-        result = average_by_subdimension(
+        result = average(
             original,
             AverageQuery(
                 method=PromptMethod.ORIGINAL,
@@ -327,9 +326,12 @@ def _property_scoped_score_bounded_by_all_terms(token_lists, picks):
         for lemma, selector in dict(picks).items()
     )
     corpus = make_corpus(token_lists)
-    for doc in corpus:
-        scoped = bias_score(doc, corpus, lexicon, Scope.IDENTITY_SCOPED)
-        broad = bias_score(doc, corpus, lexicon, Scope.ALL_TERMS)
+    for scoped, broad in zip(
+        score_corpus(corpus, lexicon, Scope.IDENTITY_SCOPED),
+        score_corpus(corpus, lexicon, Scope.ALL_TERMS),
+        strict=True,
+    ):
+        assert scoped.key == broad.key
         assert set(scoped.per_term) <= set(broad.per_term)
         assert scoped.bias_score <= broad.bias_score + 1e-15
 
@@ -402,15 +404,15 @@ def _property_average_equivariance_and_argmax():
         k = rng.uniform(0.1, 10.0)
         c = rng.uniform(0.0, 5.0)
         query = AverageQuery(method=PromptMethod.ORIGINAL)
-        base = average_by_method(cells, query)
+        base = average(cells, query)
         shifted_cells = [
             _cell(cell.key.identity, cell.bias_score + c) for cell in cells
         ]
         scaled_cells = [
             _cell(cell.key.identity, cell.bias_score * k) for cell in cells
         ]
-        shifted = average_by_method(shifted_cells, query)
-        scaled = average_by_method(scaled_cells, query)
+        shifted = average(shifted_cells, query)
+        scaled = average(scaled_cells, query)
         assert abs(shifted.mean - (base.mean + c)) < 1e-12
         assert abs(scaled.mean - base.mean * k) < 1e-12 * max(1.0, abs(base.mean * k))
 
@@ -420,7 +422,7 @@ def _property_average_equivariance_and_argmax():
         def argmax_set(cell_list):
             means = {}
             for sub in present:
-                result = average_by_subdimension(
+                result = average(
                     cell_list,
                     AverageQuery(
                         method=PromptMethod.ORIGINAL,

@@ -8,8 +8,7 @@ from biaslex.aggregate import (
     Dimension,
     NoMatchingCellsError,
     SeriesAxis,
-    average_by_method,
-    average_by_subdimension,
+    average,
     axis_value_of,
     series,
     subdimension_value,
@@ -66,14 +65,14 @@ def worked_example_cells():
 def test_method_averages_worked_examples():
     cells = worked_example_cells()
     base = dict(application=ApplicationKind.TODO_LIST, family=LanguageFamily.INDO_ARYAN)
-    original = average_by_method(
+    original = average(
         cells[PromptMethod.ORIGINAL], AverageQuery(method=PromptMethod.ORIGINAL, **base)
     )
-    simple = average_by_method(
+    simple = average(
         cells[PromptMethod.SIMPLE_DEBIAS],
         AverageQuery(method=PromptMethod.SIMPLE_DEBIAS, **base),
     )
-    complex_ = average_by_method(
+    complex_ = average(
         cells[PromptMethod.COMPLEX_DEBIAS],
         AverageQuery(method=PromptMethod.COMPLEX_DEBIAS, **base),
     )
@@ -94,7 +93,7 @@ def test_subdimension_averages_worked_examples():
         (Dimension.CHILDREN, Children.MANY_CHILDREN): 0.03,
     }
     for (dimension, sub), mean in expected.items():
-        result = average_by_subdimension(
+        result = average(
             cells,
             AverageQuery(
                 method=PromptMethod.ORIGINAL,
@@ -109,7 +108,7 @@ def test_subdimension_averages_worked_examples():
 
 def test_single_cell_average_is_its_score():
     cells = [cell(MUSLIM_SINGLE_MAN, 0.45)]
-    result = average_by_subdimension(
+    result = average(
         cells,
         AverageQuery(
             method=PromptMethod.ORIGINAL,
@@ -124,7 +123,7 @@ def test_single_cell_average_is_its_score():
 def test_empty_slice_raises():
     cells = [cell(MUSLIM_SINGLE_MAN, 0.45)]
     with pytest.raises(NoMatchingCellsError):
-        average_by_subdimension(
+        average(
             cells,
             AverageQuery(
                 method=PromptMethod.ORIGINAL,
@@ -133,7 +132,7 @@ def test_empty_slice_raises():
             ),
         )
     with pytest.raises(NoMatchingCellsError):
-        average_by_method(
+        average(
             cells, AverageQuery(method=PromptMethod.COMPLEX_DEBIAS)
         )
 
@@ -147,15 +146,6 @@ def test_query_validation():
             dimension=Dimension.GENDER,
             subdimension=Religion.HINDU,
         )
-    with pytest.raises(ValueError):
-        average_by_method(
-            [cell(MUSLIM_SINGLE_MAN, 0.1)],
-            AverageQuery(
-                method=PromptMethod.ORIGINAL,
-                dimension=Dimension.GENDER,
-                subdimension=Gender.MALE,
-            ),
-        )
 
 
 def test_family_pooling():
@@ -163,8 +153,8 @@ def test_family_pooling():
         cell(MUSLIM_SINGLE_MAN, 0.4, language=Language.HINDI),
         cell(MUSLIM_SINGLE_MAN, 0.2, language=Language.TAMIL),
     ]
-    both = average_by_method(cells, AverageQuery(method=PromptMethod.ORIGINAL))
-    indo = average_by_method(
+    both = average(cells, AverageQuery(method=PromptMethod.ORIGINAL))
+    indo = average(
         cells,
         AverageQuery(method=PromptMethod.ORIGINAL, family=LanguageFamily.INDO_ARYAN),
     )
@@ -224,7 +214,6 @@ def _per_query_series(cells, axis, application):
             for method in PromptMethod
             for family in LanguageFamily
         ]
-        average = average_by_method
     else:
         values = {
             Dimension.GENDER: Gender,
@@ -244,7 +233,6 @@ def _per_query_series(cells, axis, application):
             for family in LanguageFamily
             for method in PromptMethod
         ]
-        average = average_by_subdimension
     results = []
     for query in queries:
         try:
@@ -293,12 +281,12 @@ def test_overall_average_is_count_weighted_mean_of_subdimension_averages():
         for _ in range(rng.randint(1, 2))
     ]
     query = AverageQuery(method=PromptMethod.ORIGINAL)
-    overall = average_by_method(cells, query)
+    overall = average(cells, query)
     for dimension in Dimension:
         weighted = 0.0
         total = 0
         for value in {subdimension_value(i, dimension) for i in identities}:
-            sub = average_by_subdimension(
+            sub = average(
                 cells,
                 AverageQuery(
                     method=PromptMethod.ORIGINAL,
@@ -318,7 +306,7 @@ def test_mean_reassembles_from_contributing_scores():
         cell(identity, rng.uniform(0, 2))
         for identity in enumerate_identities()
     ]
-    result = average_by_method(cells, AverageQuery(method=PromptMethod.ORIGINAL))
+    result = average(cells, AverageQuery(method=PromptMethod.ORIGINAL))
     total = sum(c.bias_score for c in cells)
     assert result.n == len(cells)
     assert result.mean == pytest.approx(total / len(cells), abs=1e-12)

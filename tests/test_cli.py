@@ -306,6 +306,15 @@ def _as_a_string(field: str):
     return edit
 
 
+def _with(field: str, value):
+    def edit(line: bytes) -> bytes:
+        row = json.loads(line)
+        row[field] = value
+        return json.dumps(row).encode() + b"\n"
+
+    return edit
+
+
 # argv with {run} for the copied tree, the artifact it reads, the line to
 # edit (-1 for the last) and the edit
 _CORRUPT_READS = {
@@ -341,6 +350,18 @@ _CORRUPT_READS = {
         " --out {run}/reports",
         "scores.jsonl", 6, _without("per_term"),
     ),
+    "aggregate-scores-bias-score-as-a-string": (
+        "aggregate --scores {run}/scores.jsonl --out {run}/averages",
+        "scores.jsonl", 6, _as_a_string("bias_score"),
+    ),
+    "aggregate-scores-bias-score-as-a-bool": (
+        "aggregate --scores {run}/scores.jsonl --out {run}/averages",
+        "scores.jsonl", 6, _with("bias_score", True),
+    ),
+    "aggregate-scores-per-term-weight-as-a-string": (
+        "aggregate --scores {run}/scores.jsonl --out {run}/averages",
+        "scores.jsonl", 6, _with("per_term", {"term": "0.5"}),
+    ),
 }
 
 
@@ -360,7 +381,9 @@ def test_a_command_refuses_an_artifact_line_that_is_not_a_row(
     assert run_cli(*shlex.split(argv.format(run=run))) == 1
     diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert diagnostic["error"] == "RowError"
-    assert diagnostic["message"].startswith(f"{path}: line {number} is not a row: ")
+    prefix = f"{path}: line {number} is not a row: "
+    assert diagnostic["message"].startswith(prefix)
+    assert "line " not in diagnostic["message"][len(prefix):]
 
 
 def test_ingest_score_aggregate_report_chain(stub_run, tmp_path):

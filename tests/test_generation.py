@@ -84,6 +84,8 @@ def test_translation_config_rejects_invalid():
         {"url": "http://x", "backoff": -1},
         {"url": "http://x", "max_retries": 1.5},
         {"url": None},
+        {"url": "localhost:9/generate"},
+        {"url": "http://x", "translate_url": "x"},
     ],
 )
 def test_http_backend_rejects_invalid(kwargs):

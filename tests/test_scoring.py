@@ -26,14 +26,12 @@ from biaslex.scoring import (
     ScoreCell,
     bias_df,
     bias_idf,
-    bias_score,
     bias_tf,
     bias_tfidf,
     overall_top_terms,
     overall_tfidf,
     read_scores,
     score_corpus,
-    top_overall_term,
     write_scores,
 )
 
@@ -161,7 +159,7 @@ def test_score_cell_from_terms_sums_values():
 
 def test_bias_score_empty_when_no_lexicon_term_present():
     corpus = make_corpus([["garden", "market"]])
-    cell = bias_score(next(iter(corpus)), corpus, small_lexicon(), Scope.ALL_TERMS)
+    [cell] = score_corpus(corpus, small_lexicon(), Scope.ALL_TERMS)
     assert cell.bias_score == 0.0
     assert cell.per_term == {}
     assert cell.top_term is None
@@ -178,9 +176,8 @@ def test_identity_scoping_restricts_terms():
     # document identity is (Hindu, Male, Married, NoChildren): "happy" applies,
     # "house" (female) and "lonely" (single) do not
     corpus = make_corpus([["house", "lonely", "happy", "garden"]])
-    doc = next(iter(corpus))
-    scoped = bias_score(doc, corpus, small_lexicon(), Scope.IDENTITY_SCOPED)
-    broad = bias_score(doc, corpus, small_lexicon(), Scope.ALL_TERMS)
+    [scoped] = score_corpus(corpus, small_lexicon(), Scope.IDENTITY_SCOPED)
+    [broad] = score_corpus(corpus, small_lexicon(), Scope.ALL_TERMS)
     assert set(scoped.per_term) == {"happy"}
     assert set(broad.per_term) == {"house", "lonely", "happy"}
     assert set(scoped.per_term) <= set(broad.per_term)
@@ -189,26 +186,28 @@ def test_identity_scoping_restricts_terms():
 
 def test_bias_score_reassembles_to_sum():
     corpus = make_corpus([["house", "happy", "happy", "garden"], ["house"]])
-    for doc in corpus:
-        cell = bias_score(doc, corpus, small_lexicon(), Scope.ALL_TERMS)
+    for cell in score_corpus(corpus, small_lexicon(), Scope.ALL_TERMS):
         assert cell.bias_score == pytest.approx(sum(cell.per_term.values()), abs=1e-12)
 
 
 def test_top_overall_term_empty_document():
     corpus = make_corpus([[]])
-    assert top_overall_term(next(iter(corpus)), corpus) is None
+    [(_, top)] = overall_top_terms(corpus)
+    assert top is None
 
 
 def test_top_overall_term_tie_breaks_lexicographically():
     corpus = make_corpus([["b", "a"], ["c"]])
-    doc = list(corpus)[0]
-    assert top_overall_term(doc, corpus)[0] == "a"
+    key, top = overall_top_terms(corpus)[0]
+    assert key == list(corpus)[0].key
+    assert top[0] == "a"
 
 
 def test_top_overall_term_dominant_word():
     corpus = make_corpus([["daily", "daily", "daily", "walk"], ["walk", "read"]])
     doc = list(corpus)[0]
-    term, value = top_overall_term(doc, corpus)
+    key, (term, value) = overall_top_terms(corpus)[0]
+    assert key == doc.key
     assert term == "daily"
     assert value == pytest.approx(
         oracle.tfidf(
