@@ -132,11 +132,24 @@ _STUB_VOCAB = (
 ).split()
 
 
+_STUB_BITS = len(_STUB_VOCAB).bit_length()
+
+
 def _stub_text(prompt: str, seed: int) -> str:
     digest = hashlib.sha256(f"{seed}\x1f{prompt}".encode("utf-8")).digest()
     rng = random.Random(digest)
     length = rng.randint(35, 60)
-    words = [rng.choice(_STUB_VOCAB) for _ in range(length)]
+    # Random.choice's own rule (_randbelow_with_getrandbits, CPython 3.10-3.13)
+    # without a method call per word: draw bit_length(n) bits, again while
+    # the draw is >= n. test_stub_text_matches_the_choice_reference pins it
+    # to the Random.choice reference in tests/oracle.py.
+    getrandbits, n = rng.getrandbits, len(_STUB_VOCAB)
+    words = []
+    for _ in range(length):
+        r = getrandbits(_STUB_BITS)
+        while r >= n:
+            r = getrandbits(_STUB_BITS)
+        words.append(_STUB_VOCAB[r])
     sentences = []
     start = 0
     while start < length:
@@ -431,9 +444,15 @@ def run_matrix(
     continues. A debias method for a language with no stored originals
     raises :class:`BackendUnavailableError` when every original call for
     that language in this run raised a backend error, and
-    :class:`PrerequisiteMissingError` otherwise. When the run ends, the
-    sink is closed and calls not yet started are cancelled, so an
-    interrupt or an error waits only for the calls already running.
+    :class:`PrerequisiteMissingError` otherwise.
+
+    At ``concurrency`` 1 every call runs on the calling thread, one cell
+    after the other, so an interrupt or an error stops the run at once.
+    Above 1 the calls run on a pool of ``concurrency`` threads; when the
+    run ends, calls not yet started are cancelled, so an interrupt or an
+    error waits only for the calls already running. Either way results
+    are persisted in cell order and the sink is closed when the run ends.
+    A ``concurrency`` below 1 raises :class:`ConfigError`.
 
     A ``summary`` passed in is filled in place, so the caller keeps the
     counts and failures of a run that raised.
@@ -445,10 +464,17 @@ def run_matrix(
     summary.dropped_tail = sink.dropped_tail
     ordered_methods = [m for m in PromptMethod if m in set(methods)]
 
-    def generate(cell: GenerationRecord) -> GenerationRecord:
-        raw = backend.generate(cell.prompt_text, gen_config)
-        english = backend.translate(raw, trans_config)
-        return GenerationRecord(
+    def attempt(
+        cell: GenerationRecord,
+    ) -> tuple[GenerationRecord, GenerationRecord | Exception]:
+        """The cell and its record, or the exception its calls raised;
+        Exception only, so a KeyboardInterrupt raised in a call propagates."""
+        try:
+            raw = backend.generate(cell.prompt_text, gen_config)
+            english = backend.translate(raw, trans_config)
+        except Exception as exc:
+            return cell, exc
+        return cell, GenerationRecord(
             cell.record_id,
             cell.language,
             cell.method,
@@ -459,7 +485,8 @@ def run_matrix(
             english,
         )
 
-    pool = ThreadPoolExecutor(max_workers=concurrency)
+    check_number("concurrency", concurrency, 1, integer=True)
+    pool = ThreadPoolExecutor(max_workers=concurrency) if concurrency > 1 else None
     try:
         for language in languages:
             # the last backend error, when every original call for the
@@ -481,28 +508,27 @@ def run_matrix(
                 cells = _phase_cells(language, method, sink, summary)
                 # requests may run concurrently; results are persisted in cell
                 # order so re-runs produce byte-identical files
-                futures = [pool.submit(generate, cell) for cell in cells]
+                results = (map if pool is None else pool.map)(attempt, cells)
                 backend_errors = []
-                for cell, future in zip(cells, futures):
-                    try:
-                        record = future.result()
-                    except Exception as exc:
+                for cell, result in results:
+                    if isinstance(result, Exception):
                         counts["failed"] += 1
                         summary.failed_calls += 1
                         summary.failures.append(
-                            {"record_id": cell.record_id, "error": str(exc)}
+                            {"record_id": cell.record_id, "error": str(result)}
                         )
-                        if isinstance(exc, BackendError):
-                            backend_errors.append(exc)
+                        if isinstance(result, BackendError):
+                            backend_errors.append(result)
                         continue
-                    sink.append(record)
+                    sink.append(result)
                     counts["generated"] += 1
                 if method is PromptMethod.ORIGINAL and cells:
                     if len(backend_errors) == len(cells):
                         original_error = backend_errors[-1]
     finally:
         sink.close()
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return summary
 
 

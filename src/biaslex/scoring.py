@@ -67,9 +67,10 @@ def overall_tfidf(term: str, doc: Document, corpus: Corpus) -> float:
     return bias_tfidf(term, doc, corpus)
 
 
-def _idf_table(corpus: Corpus, terms: Iterable[str]) -> dict[str, float]:
-    """:func:`bias_idf` of each of ``terms``, computed once per term."""
-    return {term: bias_idf(term, corpus) for term in terms}
+def _idf_table(corpus: Corpus) -> dict[str, float]:
+    """:func:`bias_idf` of each term of the corpus vocabulary, computed once
+    per term."""
+    return {term: bias_idf(term, corpus) for term in corpus.vocabulary()}
 
 
 def _weights(
@@ -167,7 +168,7 @@ def score_corpus(
 ) -> list[ScoreCell]:
     """Each document's bias score, from one idf table; under identity
     scoping only the lemmas whose selector matches its identity count."""
-    idf = _idf_table(corpus, corpus.vocabulary())
+    idf = _idf_table(corpus)
     return [
         ScoreCell.from_terms(
             doc.key, _weights(doc, _scoped_terms(doc, lexicon, scope), idf)
@@ -179,7 +180,7 @@ def score_corpus(
 def overall_top_terms(corpus: Corpus) -> list[OverallRow]:
     """Highest :func:`overall_tfidf` term of every document, from one idf
     table; ``None`` for an empty document."""
-    idf = _idf_table(corpus, corpus.vocabulary())
+    idf = _idf_table(corpus)
     return [
         (doc.key, _argmax_term(_weights(doc, doc.distinct_terms, idf)))
         for doc in corpus

@@ -13,7 +13,10 @@ from types import SimpleNamespace
 from urllib.error import HTTPError
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracle
 from biaslex import generation
 from biaslex.artifacts import RowError, write_jsonl
 from biaslex.corpus import read_records
@@ -28,7 +31,9 @@ from biaslex.generation import (
     RunSummary,
     StubBackend,
     TranslationConfig,
+    _STUB_VOCAB,
     _retry_after,
+    _stub_text,
     record_id_for,
     run_matrix,
 )
@@ -190,17 +195,29 @@ def test_every_sink_line_is_complete(tmp_path):
         assert set(record) == required
 
 
+@given(prompt=st.text(), seed=st.integers(min_value=-(2**100), max_value=2**100))
+@example(prompt="", seed=0)
+@example(prompt="नमस्ते दुनिया", seed=-1)
+@example(prompt="\x00\u2028🙂", seed=2**64 + 7)
+@example(prompt="", seed=-(10**40))
+@settings(max_examples=500, deadline=None)
+def test_stub_text_matches_the_choice_reference(prompt, seed):
+    assert _stub_text(prompt, seed) == oracle.stub_text(prompt, seed, _STUB_VOCAB)
+
+
 def test_concurrency_preserves_order(tmp_path):
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    run_matrix(
-        [Language.HINDI], [PromptMethod.ORIGINAL], StubBackend(seed=3),
-        RecordSink(a), concurrency=1,
-    )
-    run_matrix(
-        [Language.HINDI], [PromptMethod.ORIGINAL], StubBackend(seed=3),
-        RecordSink(b), concurrency=8,
-    )
-    assert a.read_bytes() == b.read_bytes()
+    # concurrency 1 runs on the calling thread, above 1 on a pool
+    files = []
+    for concurrency in (1, 2, 8):
+        path = tmp_path / f"records-{concurrency}.jsonl"
+        summary = run_matrix(
+            [Language.HINDI], list(PromptMethod), StubBackend(seed=3),
+            RecordSink(path), concurrency=concurrency,
+        )
+        assert summary.failures == []
+        files.append(path.read_bytes())
+    assert len(files[0].splitlines()) == 288 * len(PromptMethod)
+    assert files[1] == files[0] and files[2] == files[0]
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -731,7 +748,8 @@ class _SlowStub(StubBackend):
         return super().generate(prompt, config)
 
 
-def test_interrupt_cancels_the_queued_calls(tmp_path):
+@pytest.mark.parametrize("concurrency", [1, 2])
+def test_interrupt_cancels_the_queued_calls(tmp_path, concurrency):
     full = _original_run(tmp_path / "full.jsonl", seed=4)
     path = tmp_path / "records.jsonl"
     sink = RecordSink(path)
@@ -746,30 +764,44 @@ def test_interrupt_cancels_the_queued_calls(tmp_path):
         with pytest.raises(KeyboardInterrupt):
             run_matrix(
                 [Language.HINDI], [PromptMethod.ORIGINAL], backend, sink,
-                concurrency=2,
+                concurrency=concurrency,
             )
     finally:
         signal.signal(signal.SIGINT, previous)
-    # only the calls already running finish; waiting out the queue made 288
-    assert backend.calls <= 20 + 2 * 2
     kept = path.read_bytes()
+    if concurrency == 1:
+        # the call runs on the calling thread, so the interrupt lands in it
+        assert backend.calls == 20 and len(kept.splitlines()) == 19
+    else:
+        # only the calls already running finish; waiting out the queue made 288
+        assert backend.calls <= 20 + 2 * concurrency
     assert kept.endswith(b"\n") and full.startswith(kept)
     assert sink._handle is None
     assert _original_run(path, seed=4) == full  # a resume completes the file
 
 
-def test_a_failing_sink_cancels_the_queued_calls(tmp_path):
+@pytest.mark.parametrize("concurrency", [1, 2])
+def test_a_failing_sink_cancels_the_queued_calls(tmp_path, concurrency):
     class FullDisk(RecordSink):
         def append(self, record):
             if len(self._ids) == 10:
                 raise OSError(28, "No space left on device")
             super().append(record)
 
+    full = _original_run(tmp_path / "full.jsonl")
+    path = tmp_path / "records.jsonl"
     backend = _SlowStub(1)
-    sink = FullDisk(tmp_path / "records.jsonl")
+    sink = FullDisk(path)
     with pytest.raises(OSError):
         run_matrix(
-            [Language.HINDI], [PromptMethod.ORIGINAL], backend, sink, concurrency=2
+            [Language.HINDI], [PromptMethod.ORIGINAL], backend, sink,
+            concurrency=concurrency,
         )
-    assert backend.calls <= 11 + 2 * 2
+    if concurrency == 1:
+        assert backend.calls == 11  # no call starts after the failed write
+    else:
+        assert backend.calls <= 11 + 2 * concurrency
     assert sink._handle is None
+    kept = path.read_bytes()
+    assert len(kept.splitlines()) == 10 and full.startswith(kept)
+    assert _original_run(path) == full  # a resume completes the file
