@@ -20,17 +20,19 @@ import json
 import math
 import os
 import random
+import socket
+import threading
 import time
+from base64 import b64encode
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from email.utils import parsedate_to_datetime
-from http.client import HTTPException
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from pathlib import Path
 from typing import Sequence
-from urllib.error import HTTPError
-from urllib.parse import urlsplit
-from urllib.request import HTTPRedirectHandler, Request, build_opener
+from urllib.parse import SplitResult, unquote, urlsplit
+from urllib.request import getproxies, proxy_bypass
 
 from .artifacts import RowError, jsonl_line, parse_row
 from .corpus import GenerationRecord
@@ -172,6 +174,9 @@ class StubBackend:
     def translate(self, text: str, config: TranslationConfig) -> str:
         return text
 
+    def close(self) -> None:
+        """Nothing to release."""
+
 
 def _retry_after(value: str | None, default: float, cap: float) -> float:
     """Seconds to wait after a 429, at most ``cap``: its ``Retry-After``
@@ -189,17 +194,40 @@ def _retry_after(value: str | None, default: float, cap: float) -> float:
     return min(max((when - datetime.now(timezone.utc)).total_seconds(), 0.0), cap)
 
 
-class _RefuseRedirects(HTTPRedirectHandler):
-    """Follow no redirect: every 3xx surfaces as an ``HTTPError``. Following
-    one would turn the POST into a bodiless GET and could carry the bearer
-    token to another host."""
-
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        return None
+# where the platform has it; see HttpBackend._exchange
+_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
+# how a server's close of an idle kept-alive connection shows on the next
+# request; http.client's RemoteDisconnected is a ConnectionResetError
+_STALE = (ConnectionResetError, BrokenPipeError)
 
 
-# build_opener keeps the default ProxyHandler, so proxy variables are honoured
-_urlopen = build_opener(_RefuseRedirects).open
+def _open(parts: SplitResult, timeout: float) -> tuple[HTTPConnection, dict | None]:
+    """A connection, not yet connected, to the origin of ``parts``, and
+    the headers a forward proxy needs on each request (``None`` when
+    requests go straight to the origin).
+
+    The proxy is chosen as ``urllib.request`` chooses it: the one the
+    environment names for the URL's scheme, unless ``no_proxy`` lists the
+    host. An http URL is sent to that proxy in absolute form; an https URL
+    tunnels through it with CONNECT. Credentials in the proxy URL become a
+    ``Proxy-Authorization: Basic`` header.
+    """
+    origin = parts.netloc.rpartition("@")[2]
+    https = parts.scheme == "https"
+    kind = HTTPSConnection if https else HTTPConnection
+    proxy = getproxies().get(parts.scheme)
+    if not proxy or proxy_bypass(origin):
+        return kind(origin, timeout=timeout), None
+    proxy_parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    auth = {}
+    if proxy_parts.username and proxy_parts.password:
+        user_pass = f"{unquote(proxy_parts.username)}:{unquote(proxy_parts.password)}"
+        auth["Proxy-Authorization"] = "Basic " + b64encode(user_pass.encode()).decode()
+    connection = kind(proxy_parts.netloc.rpartition("@")[2], timeout=timeout)
+    if https:
+        connection.set_tunnel(origin, headers=auth)
+        return connection, None
+    return connection, auth
 
 
 def _response_text(body: bytes) -> str:
@@ -215,7 +243,11 @@ def _response_text(body: bytes) -> str:
 @dataclass(frozen=True)
 class HttpBackend:
     """Text-completion endpoint client with bounded retries; translation
-    requests go to ``translate_url``, which defaults to ``url``."""
+    requests go to ``translate_url``, which defaults to ``url``.
+
+    Each thread that calls it keeps one connection per host open between
+    calls; :meth:`close` closes them all.
+    """
 
     url: str
     translate_url: str | None = None
@@ -240,6 +272,12 @@ class HttpBackend:
                 raise ConfigError(
                     f"{name} must be an http(s) URL with a host: {getattr(self, name)!r}"
                 )
+        # state, not fields, so neither config keys nor compared:
+        # (thread id, scheme, host) -> what _open returned for it, and a
+        # generator for backoff delays apart from the random module's
+        object.__setattr__(self, "_connections", {})
+        object.__setattr__(self, "_lock", threading.Lock())
+        object.__setattr__(self, "_jitter", random.Random())
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -249,36 +287,97 @@ class HttpBackend:
                 headers["Authorization"] = f"Bearer {token}"
         return headers
 
+    def _drop(self, key: tuple) -> None:
+        with self._lock:
+            held = self._connections.pop(key, None)
+        if held is not None:
+            held[0].close()
+
+    def close(self) -> None:
+        """Close every connection this backend opened, whatever its thread;
+        a later call opens a new one."""
+        with self._lock:
+            held = list(self._connections.values())
+            self._connections.clear()
+        for connection, _ in held:
+            connection.close()
+
+    def _exchange(
+        self, url: str, body: bytes, headers: dict
+    ) -> tuple[int, str | None, bytes]:
+        """Status, ``Retry-After`` and body of one POST of ``body`` to ``url``,
+        on the calling thread's connection to its host, opened if there is
+        none and dropped after any error or a response that ends it.
+
+        A server may close an idle kept-alive connection at any time (RFC
+        9112 section 9.3.1). So when a connection that has answered before
+        is found closed before any response arrives, the request is sent
+        once more at once on a new connection.
+        """
+        parts = urlsplit(url)
+        key = (threading.get_ident(), parts.scheme, parts.netloc)
+        reused = key in self._connections
+        while True:
+            held = self._connections.get(key)
+            if held is None:
+                held = _open(parts, self.timeout)
+                with self._lock:
+                    self._connections[key] = held
+            connection, forward = held
+            try:
+                try:
+                    if forward is None:
+                        target = parts.path or "/"
+                        if parts.query:
+                            target += "?" + parts.query
+                        connection.request("POST", target, body, headers)
+                    else:  # absolute form, to a proxy
+                        target = parts._replace(fragment="").geturl()
+                        connection.request("POST", target, body, {**headers, **forward})
+                    if _QUICKACK is not None:
+                        # ACK the response headers as soon as they arrive: a
+                        # server that writes the headers and the body apart,
+                        # Nagle on, sends the body only once they are ACKed,
+                        # and a delayed ACK would stall each response ~40 ms
+                        connection.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+                    response = connection.getresponse()
+                except _STALE:
+                    if not reused:
+                        raise
+                    self._drop(key)
+                    reused = False
+                    continue
+                with response:
+                    data = response.read()
+            except BaseException:
+                self._drop(key)
+                raise
+            if response.will_close:
+                self._drop(key)
+            return response.status, response.getheader("Retry-After"), data
+
     def _post(self, url: str, payload: dict) -> str:
-        request = Request(
-            url,
-            data=json.dumps(payload).encode("utf-8"),
-            headers=self._headers(),
-            method="POST",
-        )
+        body = json.dumps(payload).encode("utf-8")
+        headers = self._headers()
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
-            delay = self.backoff * (2**attempt)
+            # full jitter: "Exponential Backoff and Jitter", AWS Architecture
+            # Blog, 2015
+            delay = self._jitter.uniform(0, self.backoff * 2**attempt)
             try:
-                with _urlopen(request, timeout=self.timeout) as response:
-                    body = response.read()
-            except HTTPError as exc:
-                with exc:  # releases the error response's socket
-                    status = exc.code
-                    retry_after = exc.headers.get("Retry-After")
+                status, retry_after, data = self._exchange(url, body, headers)
+            except (OSError, HTTPException) as exc:
+                last_error = exc
+            else:
+                if 200 <= status < 300:
+                    return _response_text(data)
                 if status == 429:
                     last_error = BackendError("rate limited (429)")
                     delay = _retry_after(retry_after, delay, self.timeout)
                 elif status >= 500:
                     last_error = BackendError(f"server error {status}")
-                else:
-                    raise MalformedResponseError(
-                        f"request rejected with status {status}"
-                    ) from exc
-            except (OSError, HTTPException) as exc:
-                last_error = exc
-            else:
-                return _response_text(body)
+                else:  # a 3xx too: following one could carry the token elsewhere
+                    raise MalformedResponseError(f"request rejected with status {status}")
             if attempt < self.max_retries:
                 time.sleep(delay)
         raise BackendUnavailableError(

@@ -198,7 +198,7 @@ def generate_stage(config: RunConfig) -> tuple[dict, list[corpus_mod.GenerationR
     :class:`~biaslex.generation.BackendUnavailableError`, because the
     backend never worked. ``run_summary.json`` is written however the run
     ends, so one stopped by an error or an interrupt keeps its per-cell
-    reasons.
+    reasons, and the backend's connections are closed however it ends.
 
     A file with records of a (language, method) the config does not list
     raises :class:`ConfigError` before any cell is generated.
@@ -218,11 +218,12 @@ def generate_stage(config: RunConfig) -> tuple[dict, list[corpus_mod.GenerationR
             "the config does not list; list them or use another out_dir"
         )
     run = gen.RunSummary()
+    backend = config.make_backend()
     try:
         gen.run_matrix(
             languages=config.languages,
             methods=config.methods,
-            backend=config.make_backend(),
+            backend=backend,
             sink=sink,
             gen_config=config.generation,
             trans_config=config.translation,
@@ -230,6 +231,7 @@ def generate_stage(config: RunConfig) -> tuple[dict, list[corpus_mod.GenerationR
             summary=run,
         )
     finally:
+        backend.close()
         run_summary = run.to_json_dict()
         write_json(out / "run_summary.json", run_summary)
     counts = run_summary["counts"]

@@ -1,6 +1,9 @@
+import base64
 import json
 import os
+import random
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -10,7 +13,6 @@ from datetime import datetime, timedelta, timezone
 from email.utils import format_datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from types import SimpleNamespace
-from urllib.error import HTTPError
 
 import pytest
 from hypothesis import example, given, settings
@@ -44,6 +46,7 @@ from biaslex.identities import (
     PromptMethod,
     enumerate_identities,
 )
+from biaslex.pipeline import RunConfig, generate_stage
 
 
 def test_generation_config_defaults():
@@ -226,76 +229,123 @@ class _Handler(BaseHTTPRequestHandler):
     seen = []
     location = "/elsewhere"  # where a "redirect-<code>" points
     release = threading.Event()  # ends a "stall"
+    timeout = 5  # a connection a test leaves open still ends its thread
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length))
         type(self).seen.append({"body": body, "auth": self.headers.get("Authorization")})
         behaviour = type(self).script.pop(0) if type(self).script else type(self).behaviour
-        if behaviour == "ok":
+        if behaviour in ("ok", "ok-then-close"):
             payload = json.dumps({"text": f"echo: {body['prompt'][:20]}"})
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.end_headers()
-            self.wfile.write(payload.encode())
+            self._answer(200, payload.encode(), {"Content-Type": "application/json"})
+            # a silent close: the response did not say "Connection: close"
+            self.close_connection = behaviour == "ok-then-close"
         elif behaviour == "not-json":
-            self.send_response(200)
-            self.end_headers()
-            self.wfile.write(b"plain text, not json")
+            self._answer(200, b"plain text, not json")
         elif behaviour == "missing-field":
-            self.send_response(200)
-            self.end_headers()
-            self.wfile.write(json.dumps({"output": "x"}).encode())
+            self._answer(200, json.dumps({"output": "x"}).encode())
         elif behaviour == "rejected":
-            self.send_response(404)
-            self.end_headers()
+            self._answer(404)
         elif behaviour.startswith("redirect-"):
-            self.send_response(int(behaviour.removeprefix("redirect-")))
-            self.send_header("Location", type(self).location)
-            self.end_headers()
+            code = int(behaviour.removeprefix("redirect-"))
+            self._answer(code, headers={"Location": type(self).location})
         elif behaviour == "rate-limited":
-            self.send_response(429)
-            self.send_header("Retry-After", "7")
-            self.end_headers()
+            self._answer(429, headers={"Retry-After": "7"})
         elif behaviour == "rate-limited-for-ages":
-            self.send_response(429)
-            self.send_header("Retry-After", "9" * 20)
-            self.end_headers()
+            self._answer(429, headers={"Retry-After": "9" * 20})
         elif behaviour == "rate-limited-until":
-            self.send_response(429)
-            self.send_header("Retry-After", "Wed, 21 Oct 2015 07:28:00 GMT")
-            self.end_headers()
+            self._answer(429, headers={"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"})
         elif behaviour == "hang-up":
             self.close_connection = True  # closes the socket without answering
         elif behaviour == "stall":
             type(self).release.wait(5)
             self.close_connection = True
         else:
-            self.send_response(500)
-            self.end_headers()
+            self._answer(500)
+
+    def _answer(self, status, payload=b"", headers=None):
+        """The status line and headers in one write, the body in another."""
+        self.send_response(status)
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
 
     def log_message(self, *args):
         pass
 
 
+class _KeepAliveHandler(_Handler):
+    protocol_version = "HTTP/1.1"
+
+
 class _Server(ThreadingHTTPServer):
+    """Counts the connections it accepted and those still open."""
+
     daemon_threads = False  # server_close joins every handler thread
 
+    def __init__(self, address, handler):
+        super().__init__(address, handler)
+        self.lock = threading.Lock()
+        self.connections = 0
+        self.open = 0
 
-@pytest.fixture
-def http_server():
-    server = _Server(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    def process_request(self, request, client_address):
+        with self.lock:
+            self.connections += 1
+            self.open += 1
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        with self.lock:
+            self.open -= 1
+
+    def wait_until_closed(self, seconds=2.0):
+        """True once every connection the server accepted has ended."""
+        deadline = time.monotonic() + seconds
+        while self.open and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return self.open == 0
+
+
+def _serve(handler):
+    server = _Server(("127.0.0.1", 0), handler)
+    threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    ).start()
     _Handler.behaviour = "ok"
     _Handler.script = []
     _Handler.seen = []
     _Handler.location = "/elsewhere"
     _Handler.release.clear()
-    yield f"http://127.0.0.1:{server.server_port}"
+    return server
+
+
+def _stop(server):
     _Handler.release.set()
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture
+def http_server():
+    """An HTTP/1.0 endpoint: one connection per request."""
+    server = _serve(_Handler)
+    yield f"http://127.0.0.1:{server.server_port}"
+    _stop(server)
+
+
+@pytest.fixture
+def keep_alive_server():
+    """An HTTP/1.1 endpoint that keeps each connection open for the next
+    request; the test reads its counts."""
+    server = _serve(_KeepAliveHandler)
+    server.url = f"http://127.0.0.1:{server.server_port}"
+    yield server
+    _stop(server)
 
 
 @pytest.fixture
@@ -370,23 +420,95 @@ def test_http_backend_does_not_retry_a_rejection(http_server, behaviour):
 @pytest.mark.parametrize(
     "behaviour", ["error", "rate-limited", "rejected", "redirect-302"]
 )
-def test_http_backend_closes_error_responses(http_server, monkeypatch, sleeps, behaviour):
-    raised = []
-    opener = generation._urlopen
+def test_http_backend_closes_error_responses(keep_alive_server, behaviour):
+    # an error response is read to its end, so its connection serves the next call
+    _Handler.script = [behaviour]
+    backend = HttpBackend(url=keep_alive_server.url, max_retries=0)
+    try:
+        with pytest.raises(BackendError):
+            backend.generate("x", GenerationConfig())
+        assert backend.generate("y", GenerationConfig()) == "echo: y"
+    finally:
+        backend.close()
+    assert keep_alive_server.connections == 1
+    assert keep_alive_server.wait_until_closed()
 
-    def recording_urlopen(*args, **kwargs):
-        try:
-            return opener(*args, **kwargs)
-        except HTTPError as exc:
-            raised.append(exc)
-            raise
 
-    monkeypatch.setattr(generation, "_urlopen", recording_urlopen)
+def test_http_backend_keeps_one_connection_for_both_urls(keep_alive_server):
+    url = keep_alive_server.url
+    backend = HttpBackend(url=f"{url}/generate", translate_url=f"{url}/translate")
+    try:
+        for n in range(10):
+            assert backend.generate(f"g{n}", GenerationConfig()) == f"echo: g{n}"
+            assert backend.translate(f"t{n}", TranslationConfig()) == f"echo: t{n}"
+    finally:
+        backend.close()
+    assert len(_Handler.seen) == 20
+    assert keep_alive_server.connections == 1
+    assert keep_alive_server.wait_until_closed()
+
+
+def test_run_matrix_keeps_one_connection_per_worker(keep_alive_server, tmp_path):
+    backend = HttpBackend(url=keep_alive_server.url, max_retries=0)
+    try:
+        summary = run_matrix(
+            [Language.HINDI], [PromptMethod.ORIGINAL], backend,
+            RecordSink(tmp_path / "records.jsonl"), concurrency=2,
+        )
+    finally:
+        backend.close()
+    assert summary.failures == []
+    assert len(_Handler.seen) == 2 * 288  # a generation and a translation per cell
+    assert keep_alive_server.connections <= 2
+    assert keep_alive_server.wait_until_closed()
+
+
+@pytest.mark.parametrize("behaviour", ["ok", "error"])
+def test_generate_stage_leaves_no_connection_open(keep_alive_server, tmp_path, behaviour):
     _Handler.behaviour = behaviour
-    backend = HttpBackend(url=http_server, max_retries=1, backoff=0.0)
-    with pytest.raises(BackendError):
-        backend.generate("x", GenerationConfig())
-    assert raised and all(exc.fp.closed for exc in raised)
+    config = RunConfig(
+        out_dir=tmp_path,
+        methods=[PromptMethod.ORIGINAL, PromptMethod.SIMPLE_DEBIAS],
+        backend=HttpBackend(url=keep_alive_server.url, max_retries=0),
+        concurrency=2,
+    )
+    if behaviour == "ok":
+        counts, _ = generate_stage(config)
+        assert counts["hindi/simple"]["generated"] == 288
+    else:  # every original fails, so the debias phase raises
+        with pytest.raises(BackendUnavailableError):
+            generate_stage(config)
+    assert keep_alive_server.connections <= 2
+    assert keep_alive_server.wait_until_closed()
+
+
+def test_http_backend_resends_on_a_connection_closed_while_idle(keep_alive_server, sleeps):
+    _Handler.behaviour = "ok-then-close"
+    backend = HttpBackend(url=keep_alive_server.url, max_retries=1)
+    try:
+        for n in range(3):
+            assert backend.generate(f"p{n}", GenerationConfig()) == f"echo: p{n}"
+    finally:
+        backend.close()
+    assert len(_Handler.seen) == 3
+    assert sleeps == []  # the re-sends were not retries
+
+
+@pytest.mark.skipif(
+    not hasattr(socket, "TCP_QUICKACK"), reason="the platform has no TCP_QUICKACK"
+)
+def test_kept_alive_calls_do_not_wait_for_a_delayed_ack(keep_alive_server):
+    # the handler writes the headers and the body apart with Nagle on, so a
+    # client that delays its ACK of the headers waits ~40 ms per response
+    backend = HttpBackend(url=keep_alive_server.url, max_retries=0)
+    start = time.perf_counter()
+    try:
+        for _ in range(50):
+            backend.generate("x", GenerationConfig())
+    finally:
+        backend.close()
+    assert keep_alive_server.connections == 1
+    assert time.perf_counter() - start < 1.0
 
 
 def test_http_backend_retries_a_hang_up(http_server):
@@ -460,6 +582,89 @@ def test_http_backend_does_not_follow_a_redirect_elsewhere(http_server, monkeypa
         elsewhere.server_close()
     assert [seen["auth"] for seen in _Handler.seen] == ["Bearer sekret"]
     assert _Elsewhere.seen == []
+
+
+def test_http_backend_backs_off_with_full_jitter(http_server, sleeps):
+    _Handler.behaviour = "error"
+    state = random.getstate()
+    backend = HttpBackend(url=http_server, max_retries=2, backoff=1.0)
+    for _ in range(5):
+        with pytest.raises(BackendUnavailableError):
+            backend.generate("x", GenerationConfig())
+    assert len(sleeps) == 10
+    for n, delay in enumerate(sleeps):
+        assert 0 <= delay <= 2 ** (n % 2)
+    assert len(set(sleeps)) == 10  # drawn, not the bounds
+    assert random.getstate() == state  # from the backend's own generator
+
+
+class _Proxy(_Handler):
+    """Records each request; answers a POST itself and refuses a tunnel."""
+
+    seen = []
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        self._record()
+        self._answer(200, json.dumps({"text": "via proxy"}).encode())
+
+    def do_CONNECT(self):
+        self._record()
+        self._answer(502)
+
+    def _record(self):
+        type(self).seen.append(
+            (self.command, self.path, self.headers.get("Proxy-Authorization"))
+        )
+
+
+@pytest.fixture
+def proxy(monkeypatch):
+    """A recording proxy, with no proxy variable set yet."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    _Proxy.seen = []
+    server = _serve(_Proxy)
+    yield f"127.0.0.1:{server.server_port}"
+    _stop(server)
+
+
+_BASIC = "Basic " + base64.b64encode(b"user:p@ss").decode()
+
+
+def test_http_backend_sends_an_http_url_to_the_proxy(proxy, monkeypatch):
+    monkeypatch.setenv("http_proxy", f"http://user:p%40ss@{proxy}")
+    url = "http://127.0.0.2:9/generate?v=1"  # refused unless proxied
+    backend = HttpBackend(url=url, max_retries=0)
+    try:
+        assert backend.generate("x", GenerationConfig()) == "via proxy"
+    finally:
+        backend.close()
+    assert _Proxy.seen == [("POST", url, _BASIC)]  # the absolute form
+
+
+def test_http_backend_tunnels_an_https_url_through_the_proxy(proxy, monkeypatch):
+    monkeypatch.setenv("https_proxy", f"http://user:p%40ss@{proxy}")
+    backend = HttpBackend(url="https://127.0.0.2:9/generate", max_retries=0)
+    try:
+        with pytest.raises(BackendUnavailableError, match="502"):
+            backend.generate("x", GenerationConfig())
+    finally:
+        backend.close()
+    assert _Proxy.seen == [("CONNECT", "127.0.0.2:9", _BASIC)]
+
+
+def test_http_backend_goes_direct_to_a_host_no_proxy_lists(proxy, http_server, monkeypatch):
+    monkeypatch.setenv("http_proxy", f"http://{proxy}")
+    monkeypatch.setenv("no_proxy", "localhost,127.0.0.1")
+    backend = HttpBackend(url=http_server, max_retries=0)
+    try:
+        assert backend.generate("x", GenerationConfig()) == "echo: x"
+    finally:
+        backend.close()
+    assert _Proxy.seen == []
+    assert len(_Handler.seen) == 1
 
 
 def test_http_backend_does_not_wait_for_a_retry_after_date_gone_by(
