@@ -208,21 +208,24 @@ def _open(parts: SplitResult, timeout: float) -> tuple[HTTPConnection, dict | No
 
     The proxy is chosen as ``urllib.request`` chooses it: the one the
     environment names for the URL's scheme, unless ``no_proxy`` lists the
-    host. An http URL is sent to that proxy in absolute form; an https URL
-    tunnels through it with CONNECT. Credentials in the proxy URL become a
+    host. An http URL is sent to that proxy in absolute form, over TLS
+    when the proxy URL is https; an https URL tunnels through it with
+    CONNECT. Credentials in the proxy URL become a
     ``Proxy-Authorization: Basic`` header.
     """
     origin = parts.netloc.rpartition("@")[2]
     https = parts.scheme == "https"
-    kind = HTTPSConnection if https else HTTPConnection
     proxy = getproxies().get(parts.scheme)
     if not proxy or proxy_bypass(origin):
+        kind = HTTPSConnection if https else HTTPConnection
         return kind(origin, timeout=timeout), None
     proxy_parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
     auth = {}
     if proxy_parts.username and proxy_parts.password:
         user_pass = f"{unquote(proxy_parts.username)}:{unquote(proxy_parts.password)}"
         auth["Proxy-Authorization"] = "Basic " + b64encode(user_pass.encode()).decode()
+    # TLS to the origin inside a tunnel, else to an https proxy
+    kind = HTTPSConnection if https or proxy_parts.scheme == "https" else HTTPConnection
     connection = kind(proxy_parts.netloc.rpartition("@")[2], timeout=timeout)
     if https:
         connection.set_tunnel(origin, headers=auth)
@@ -335,10 +338,11 @@ class HttpBackend:
                         target = parts._replace(fragment="").geturl()
                         connection.request("POST", target, body, {**headers, **forward})
                     if _QUICKACK is not None:
-                        # ACK the response headers as soon as they arrive: a
-                        # server that writes the headers and the body apart,
-                        # Nagle on, sends the body only once they are ACKed,
-                        # and a delayed ACK would stall each response ~40 ms
+                        # ACK the response headers as soon as they arrive: an
+                        # http.server-style endpoint (the benchmark's) writes
+                        # the headers and the body apart with Nagle on, so it
+                        # sends the body only once they are ACKed, and a
+                        # delayed ACK would stall each response ~40 ms
                         connection.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
                     response = connection.getresponse()
                 except _STALE:

@@ -2,8 +2,10 @@ import base64
 import json
 import os
 import random
+import shutil
 import signal
 import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -236,11 +238,23 @@ class _Handler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(length))
         type(self).seen.append({"body": body, "auth": self.headers.get("Authorization")})
         behaviour = type(self).script.pop(0) if type(self).script else type(self).behaviour
+        payload = json.dumps({"text": f"echo: {body['prompt'][:20]}"}).encode()
         if behaviour in ("ok", "ok-then-close"):
-            payload = json.dumps({"text": f"echo: {body['prompt'][:20]}"})
-            self._answer(200, payload.encode(), {"Content-Type": "application/json"})
+            self._answer(200, payload, {"Content-Type": "application/json"})
             # a silent close: the response did not say "Connection: close"
             self.close_connection = behaviour == "ok-then-close"
+        elif behaviour == "ok-to-eof":  # no length: the body ends with the connection
+            self.send_response(200)
+            self.end_headers()
+            self.wfile.write(payload)
+            self.close_connection = True
+        elif behaviour == "ok-chunked":
+            self.send_response(200)
+            self.send_header("Transfer-Encoding", "chunked")
+            self.end_headers()
+            half = len(payload) // 2
+            chunks = (payload[:half], payload[half:], b"")
+            self.wfile.write(b"".join(b"%x\r\n%s\r\n" % (len(c), c) for c in chunks))
         elif behaviour == "not-json":
             self._answer(200, b"plain text, not json")
         elif behaviour == "missing-field":
@@ -311,8 +325,11 @@ class _Server(ThreadingHTTPServer):
         return self.open == 0
 
 
-def _serve(handler):
+def _serve(handler, context=None):
+    """A server on a free port, over TLS with ``context`` if one is given."""
     server = _Server(("127.0.0.1", 0), handler)
+    if context is not None:
+        server.socket = context.wrap_socket(server.socket, server_side=True)
     threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
     ).start()
@@ -428,6 +445,33 @@ def test_http_backend_closes_error_responses(keep_alive_server, behaviour):
         with pytest.raises(BackendError):
             backend.generate("x", GenerationConfig())
         assert backend.generate("y", GenerationConfig()) == "echo: y"
+    finally:
+        backend.close()
+    assert keep_alive_server.connections == 1
+    assert keep_alive_server.wait_until_closed()
+
+
+@pytest.mark.parametrize("handler", [_Handler, _KeepAliveHandler], ids=["1.0", "1.1"])
+def test_http_backend_reads_a_body_that_ends_with_the_connection(handler):
+    server = _serve(handler)
+    _Handler.behaviour = "ok-to-eof"
+    backend = HttpBackend(url=f"http://127.0.0.1:{server.server_port}", max_retries=0)
+    try:
+        for n in range(2):
+            assert backend.generate(f"p{n}", GenerationConfig()) == f"echo: p{n}"
+        assert server.connections == 2  # the second call opened a new one
+        assert server.wait_until_closed()
+    finally:
+        backend.close()
+        _stop(server)
+
+
+def test_http_backend_keeps_the_connection_after_a_chunked_body(keep_alive_server):
+    _Handler.behaviour = "ok-chunked"
+    backend = HttpBackend(url=keep_alive_server.url, max_retries=0)
+    try:
+        for n in range(2):
+            assert backend.generate(f"p{n}", GenerationConfig()) == f"echo: p{n}"
     finally:
         backend.close()
     assert keep_alive_server.connections == 1
@@ -618,16 +662,39 @@ class _Proxy(_Handler):
         )
 
 
-@pytest.fixture
-def proxy(monkeypatch):
-    """A recording proxy, with no proxy variable set yet."""
+def _recording_proxy(monkeypatch, context=None):
     for name in list(os.environ):
         if name.lower().endswith("_proxy"):
             monkeypatch.delenv(name)
     _Proxy.seen = []
-    server = _serve(_Proxy)
+    server = _serve(_Proxy, context)
     yield f"127.0.0.1:{server.server_port}"
     _stop(server)
+
+
+@pytest.fixture
+def proxy(monkeypatch):
+    """A recording proxy, with no proxy variable set yet."""
+    yield from _recording_proxy(monkeypatch)
+
+
+@pytest.fixture
+def tls_proxy(monkeypatch, tmp_path):
+    """A recording proxy reached over TLS, with a certificate for 127.0.0.1
+    that the client's default context trusts."""
+    if shutil.which("openssl") is None:
+        pytest.skip("no openssl command to make a certificate")
+    subprocess.run(
+        ["openssl", "req", "-x509", "-nodes", "-days", "1", "-newkey", "ec",
+         "-pkeyopt", "ec_paramgen_curve:prime256v1", "-subj", "/CN=127.0.0.1",
+         "-addext", "subjectAltName=IP:127.0.0.1",
+         "-keyout", "key.pem", "-out", "cert.pem"],
+        cwd=tmp_path, check=True, capture_output=True,
+    )
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(tmp_path / "cert.pem", tmp_path / "key.pem")
+    monkeypatch.setenv("SSL_CERT_FILE", str(tmp_path / "cert.pem"))
+    yield from _recording_proxy(monkeypatch, context)
 
 
 _BASIC = "Basic " + base64.b64encode(b"user:p@ss").decode()
@@ -642,6 +709,17 @@ def test_http_backend_sends_an_http_url_to_the_proxy(proxy, monkeypatch):
     finally:
         backend.close()
     assert _Proxy.seen == [("POST", url, _BASIC)]  # the absolute form
+
+
+def test_http_backend_speaks_tls_to_an_https_proxy(tls_proxy, monkeypatch):
+    monkeypatch.setenv("http_proxy", f"https://user:p%40ss@{tls_proxy}")
+    url = "http://127.0.0.2:9/generate"  # refused unless proxied
+    backend = HttpBackend(url=url, max_retries=0)
+    try:
+        assert backend.generate("x", GenerationConfig()) == "via proxy"
+    finally:
+        backend.close()
+    assert _Proxy.seen == [("POST", url, _BASIC)]
 
 
 def test_http_backend_tunnels_an_https_url_through_the_proxy(proxy, monkeypatch):

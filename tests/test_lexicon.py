@@ -440,11 +440,24 @@ def _values(enum_type):
     return st.one_of(st.none(), st.frozensets(st.sampled_from(enum_type), min_size=1))
 
 
-# str.isspace: what str.split, str.strip and str.splitlines act on
-_WHITESPACE = "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+def _every_char(where):
+    return "".join(c for c in map(chr, range(sys.maxunicode + 1)) if where(c))
+
+
+# str.isspace: what str.split and str.strip act on
 _NO_SPACE = st.text(
-    st.characters(blacklist_categories=("Cs",), blacklist_characters=_WHITESPACE),
+    st.characters(
+        blacklist_categories=("Cs",),
+        blacklist_characters=_every_char(str.isspace),
+    ),
     min_size=1,
+)
+# where str.splitlines breaks a line (all of them whitespace too)
+_ONE_LINE = st.text(
+    st.characters(
+        blacklist_categories=("Cs",),
+        blacklist_characters=_every_char(lambda c: len(f"a{c}b".splitlines()) > 1),
+    )
 )
 
 
@@ -465,7 +478,9 @@ def _valid_terms(draw):
     )
     provenance = draw(st.sampled_from(Provenance))
     required = provenance is Provenance.AUTO_SYNONYM
-    note = " ".join(draw(st.lists(_NO_SPACE, min_size=required, max_size=4)))
+    note = draw(_ONE_LINE).strip()
+    if required and not note:
+        note = draw(_NO_SPACE)
     return BiasTerm(lemma, selector, provenance, note)
 
 
