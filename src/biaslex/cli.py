@@ -157,13 +157,13 @@ def cmd_generate_run(args: argparse.Namespace) -> int:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     stopwords = load_stopwords(args.stopwords)
-    corpora, summary = ingest_stage(
+    documents, summary = ingest_stage(
         corpus_mod.read_records(args.infile), args.out, args.detector, stopwords
     )
     if not args.quiet:
         print(
             f"kept {summary.kept}/{summary.input_records} records; "
-            f"{len(corpora)} corpora at {args.out}"
+            f"{len(documents)} corpora at {args.out}"
         )
     return EXIT_OK
 
@@ -173,7 +173,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     if not corpora:
         raise FileNotFoundError(f"no corpus_*.jsonl files in {args.corpus}")
     lexicon, scope = load_lexicon(args.lexicon), scoring.Scope(args.scope)
-    cells, _ = score_stage(corpora, lexicon, scope, args.out, args.overall_out)
+    cells = score_stage(corpora, lexicon, scope, args.out, args.overall_out)
     if not args.quiet:
         print(f"scored {len(cells)} documents to {args.out}")
     return EXIT_OK

@@ -5,23 +5,35 @@ them; ``pipeline_run`` and the ``biaslex`` subcommands only pick the paths,
 so chaining the subcommands writes ``pipeline_run``'s bytes.
 ``pipeline_run`` hands the records it generated or loaded straight to
 ingest, so ``records.jsonl`` is parsed once per run.
+
+Ingest, score and report are each a per-language piece and a merge across
+languages; :func:`_map_languages` runs the pieces in forked processes, one
+per usable CPU, and the stage functions and ``pipeline_run`` share them.
 """
 from __future__ import annotations
 
 import json
+import os
+import signal
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from . import aggregate as agg
 from . import corpus as corpus_mod
 from . import generation as gen
 from . import report as report_mod
 from . import scoring
-from .artifacts import atomic_open, write_json
+from .artifacts import atomic_open, jsonl_line, write_json
 from .generation import ConfigError
 from .identities import ApplicationKind, Language, PromptMethod
 from .lexicon import BiasLexicon, load_lexicon, load_seed_lexicon
 from .preprocess import load_stopwords
+
+T = TypeVar("T")
+X = TypeVar("X")
 
 
 class StageError(Exception):
@@ -31,6 +43,10 @@ class StageError(Exception):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+    def __reduce__(self):
+        # rebuilt from its arguments, so a worker process can raise it
+        return type(self), (self.stage, self.cause)
 
 
 def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
@@ -242,20 +258,177 @@ def generate_stage(config: RunConfig) -> tuple[dict, list[corpus_mod.GenerationR
     return counts, sink.records
 
 
+# --------------------------------------------------------------------------
+# Idf, scores and report tables never mix languages, so ingest, score and
+# report are each a per-language piece and a merge; only record cleaning,
+# the two row files and the averages span languages.
+
+
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on (a cgroup quota is not read);
+    1 where ``os`` cannot tell."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+# (work, inputs) of the fan-out, set in each forked worker
+_task: tuple = ()
+
+
+def _start_worker(*task) -> None:
+    global _task
+    _task = task
+    # Ctrl-C reaches the whole process group; the caller alone acts on it
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _run_work(language: Language):
+    work, inputs = _task
+    return work(language, inputs[language])
+
+
+@contextmanager
+def _map_languages(
+    work: Callable[[Language, X], T], inputs: dict[Language, X]
+) -> Iterator[Iterator[T]]:
+    """Yield ``work(language, value)`` for each item of ``inputs``, in order.
+
+    The languages run in forked processes, one per usable CPU up to one
+    per language. ``work`` and ``inputs`` reach them by the fork; only
+    results are pickled, and an exception keeps its type. The work stays
+    on the calling thread, through ``map``, when that count is 1 and while
+    another thread is alive: a fork copies the locks other threads hold.
+    ``inputs`` is emptied as it is handed over, so the caller does not keep
+    it. Leaving the block, by any exception too, cancels the languages not
+    yet started and waits for the workers.
+    """
+    languages = list(inputs)
+    processes = min(_usable_cpus(), len(languages))
+    if processes < 2 or threading.active_count() > 1:
+        yield map(lambda language: work(language, inputs.pop(language)), languages)
+        return
+    # imported here: a run of one language never pays for it
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        processes,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker,
+        initargs=(work, inputs),
+    )
+    try:
+        results = pool.map(_run_work, languages)
+        inputs.clear()  # every worker was forked by the first submission
+        yield results
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _by_language(
+    items: Iterable[T], language: Callable[[T], Language]
+) -> dict[Language, list[T]]:
+    """``items`` grouped by ``language(item)``, in canonical language order."""
+    grouped: dict[Language, list[T]] = {}
+    for item in items:
+        grouped.setdefault(language(item), []).append(item)
+    return {
+        key: grouped[key]
+        for key in sorted(grouped, key=corpus_mod.LANGUAGE_ORDER.__getitem__)
+    }
+
+
+def _clean(
+    records: list[corpus_mod.GenerationRecord], corpus_dir: str | Path, detector: str
+) -> tuple[
+    dict[Language, list[corpus_mod.GenerationRecord]], corpus_mod.CleaningSummary
+]:
+    """Clean every record (a record id is kept once over all languages) and
+    write ``cleaning_summary.json``; return the kept records by language."""
+    cleaned, cleaning = corpus_mod.clean_records(records, DETECTORS[detector])
+    corpus_mod.write_corpus_dir({}, corpus_dir, cleaning)
+    return _by_language(cleaned, lambda record: record.language), cleaning
+
+
+def _build_corpora(
+    records: list[corpus_mod.GenerationRecord],
+    corpus_dir: str | Path,
+    stopwords: frozenset[str],
+) -> dict[tuple[Language, PromptMethod], corpus_mod.Corpus]:
+    """One language's corpora, built from its kept records and written.
+    Empties ``records``, so the calling process frees them before scoring."""
+    corpora = corpus_mod.build_corpus(records, stopwords=stopwords)
+    records.clear()
+    corpus_mod.write_corpus_dir(corpora, corpus_dir)
+    return corpora
+
+
+def _documents(
+    corpora: dict[tuple[Language, PromptMethod], corpus_mod.Corpus],
+) -> dict[str, int]:
+    """Each corpus's document count, by ``language/method``."""
+    return {
+        f"{language.value}/{method.value}": corpus.N
+        for (language, method), corpus in corpora.items()
+    }
+
+
 def ingest_stage(
     records: list[corpus_mod.GenerationRecord],
     corpus_dir: str | Path,
     detector: str,
     stopwords: frozenset[str],
-) -> tuple[
-    dict[tuple[Language, PromptMethod], corpus_mod.Corpus], corpus_mod.CleaningSummary
-]:
+) -> tuple[dict[str, int], corpus_mod.CleaningSummary]:
     """Clean the records, build one corpus per (language, method) and write
-    them; ``detector`` names one of :data:`DETECTORS`."""
-    cleaned, cleaning = corpus_mod.clean_records(records, DETECTORS[detector])
-    corpora = corpus_mod.build_corpus(cleaned, stopwords=stopwords)
-    corpus_mod.write_corpus_dir(corpora, corpus_dir, cleaning)
-    return corpora, cleaning
+    them; ``detector`` names one of :data:`DETECTORS`. Returns each
+    corpus's document count, by ``language/method``, and the cleaning
+    counts."""
+    records_of, cleaning = _clean(records, corpus_dir, detector)
+
+    def work(language: Language, kept: list) -> dict[str, int]:
+        return _documents(_build_corpora(kept, corpus_dir, stopwords))
+
+    with _map_languages(work, records_of) as results:
+        return {name: n for part in results for name, n in part.items()}, cleaning
+
+
+def _score(
+    corpora: dict[tuple[Language, PromptMethod], corpus_mod.Corpus],
+    lexicon: BiasLexicon,
+    scope: scoring.Scope,
+) -> tuple[list[scoring.ScoreCell], list[scoring.OverallRow], list[str], list[str]]:
+    """The score cells and overall top-term rows of one language's corpora,
+    in canonical method order, and their lines of ``scores.jsonl`` and
+    ``overall.jsonl``."""
+    cells: list[scoring.ScoreCell] = []
+    overall_rows: list[scoring.OverallRow] = []
+    for key in sorted(corpora, key=corpus_mod.corpus_order):
+        cells.extend(scoring.score_corpus(corpora[key], lexicon, scope))
+        overall_rows.extend(scoring.overall_top_terms(corpora[key]))
+    return (
+        cells,
+        overall_rows,
+        [jsonl_line(cell.to_json_dict()) for cell in cells],
+        [jsonl_line(scoring.overall_json_dict(row)) for row in overall_rows],
+    )
+
+
+def _write_rows(
+    results: Iterable[tuple], scores_path: str | Path, overall_path: str | Path
+) -> tuple[list[scoring.ScoreCell], list[list]]:
+    """Write each language's lines of ``scores.jsonl`` and ``overall.jsonl``
+    as its result, ``(cells, score lines, overall lines, *rest)``, arrives.
+    Returns every cell, and the rest of each result."""
+    cells: list[scoring.ScoreCell] = []
+    rests = []
+    with atomic_open(scores_path) as scores, atomic_open(overall_path) as overall:
+        for language_cells, score_lines, overall_lines, *rest in results:
+            cells.extend(language_cells)
+            scores.writelines(score_lines)
+            overall.writelines(overall_lines)
+            rests.append(rest)
+    return cells, rests
 
 
 def score_stage(
@@ -264,19 +437,18 @@ def score_stage(
     scope: scoring.Scope,
     scores_path: str | Path,
     overall_path: str | Path,
-) -> tuple[list[scoring.ScoreCell], list]:
+) -> list[scoring.ScoreCell]:
     """Score every corpus, in canonical language then method order; write the
     bias-score cells to ``scores_path`` and the overall top-term rows to
-    ``overall_path``, and return both.
+    ``overall_path``, and return the cells.
     """
-    cells: list[scoring.ScoreCell] = []
-    overall_rows = []
-    for key in sorted(corpora, key=corpus_mod.corpus_order):
-        cells.extend(scoring.score_corpus(corpora[key], lexicon, scope))
-        overall_rows.extend(scoring.overall_top_terms(corpora[key]))
-    scoring.write_scores(cells, scores_path)
-    scoring.write_overall_terms(overall_rows, overall_path)
-    return cells, overall_rows
+    def work(language: Language, items: list) -> tuple[list, list, list]:
+        cells, _, score_lines, overall_lines = _score(dict(items), lexicon, scope)
+        return cells, score_lines, overall_lines
+
+    inputs = _by_language(corpora.items(), lambda item: item[0][0])
+    with _map_languages(work, inputs) as results:
+        return _write_rows(results, scores_path, overall_path)[0]
 
 
 def aggregate_stage(cells: list[scoring.ScoreCell], out_dir: Path) -> list[Path]:
@@ -303,17 +475,16 @@ def _table_key(key: corpus_mod.DocumentKey) -> tuple:
     return key.language, key.application, key.method
 
 
-def report_stage(
+def _write_reports(
     cells: list[scoring.ScoreCell],
-    overall_rows: list,
-    languages: list[Language],
+    overall_rows: list[scoring.OverallRow],
+    language: Language,
     methods: list[PromptMethod],
     out_dir: Path,
 ) -> list[Path]:
-    """Write every format of the report table of each language, method and
-    application under ``out_dir``, in that loop order; a table without
-    rows has every cell absent. Returns the paths written.
-    """
+    """Write every format of the report table of each method and
+    application of one language under ``out_dir``, in that loop order.
+    Returns the paths written."""
     out_dir.mkdir(parents=True, exist_ok=True)
     # each table's rows, grouped once rather than scanned for every table
     table_cells: dict[tuple, list] = {}
@@ -323,23 +494,46 @@ def report_stage(
     for row in overall_rows:
         table_overall.setdefault(_table_key(row[0]), []).append(row)
     paths = []
-    for language in languages:
-        for method in methods:
-            for app in ApplicationKind:
-                key = (language, app, method)
-                table = report_mod.build_report(
-                    table_cells.get(key, []), table_overall.get(key, []), *key
+    for method in methods:
+        for app in ApplicationKind:
+            key = (language, app, method)
+            table = report_mod.build_report(
+                table_cells.get(key, []), table_overall.get(key, []), *key
+            )
+            for fmt in report_mod.ReportFormat:
+                name = (
+                    f"report_{language.value}_{app.value}_{method.value}.{fmt.value}"
                 )
-                for fmt in report_mod.ReportFormat:
-                    name = (
-                        f"report_{language.value}_{app.value}"
-                        f"_{method.value}.{fmt.value}"
-                    )
-                    path = out_dir / name
-                    with atomic_open(path) as handle:
-                        handle.write(report_mod.render_table(table, fmt))
-                    paths.append(path)
+                path = out_dir / name
+                with atomic_open(path) as handle:
+                    handle.write(report_mod.render_table(table, fmt))
+                paths.append(path)
     return paths
+
+
+def report_stage(
+    cells: list[scoring.ScoreCell],
+    overall_rows: list[scoring.OverallRow],
+    languages: list[Language],
+    methods: list[PromptMethod],
+    out_dir: Path,
+) -> list[Path]:
+    """Write every format of the report table of each language, method and
+    application under ``out_dir``, in that loop order; a table without
+    rows has every cell absent. Returns the paths written.
+    """
+    cells_of = _by_language(cells, lambda cell: cell.key.language)
+    rows_of = _by_language(overall_rows, lambda row: row[0].language)
+
+    def work(language: Language, rows: tuple[list, list]) -> list[Path]:
+        return _write_reports(*rows, language, methods, out_dir)
+
+    inputs = {
+        language: (cells_of.get(language, []), rows_of.get(language, []))
+        for language in languages
+    }
+    with _map_languages(work, inputs) as results:
+        return [path for paths in results for path in paths]
 
 
 def pipeline_run(config: RunConfig) -> dict:
@@ -347,13 +541,32 @@ def pipeline_run(config: RunConfig) -> dict:
 
     Reads the lexicon and the stopword list first, so a missing or malformed
     one raises before anything is generated or ``out_dir`` is made. Then
-    stops at the first failing stage and reports which one failed.
+    stops at the first failing stage and reports which one failed. Each
+    language's ingest, score and report are one call in
+    :func:`_map_languages`, so its corpora and tables stay in one process.
     """
     lexicon, stopwords = config.load_lexicon(), load_stopwords(config.stopwords_path)
     out = config.out_dir
+    corpus_dir, reports_dir = out / "corpus", out / "reports"
+    scores_path, overall_path = out / "scores.jsonl", out / "overall.jsonl"
 
     def rel(path: Path) -> str:
         return str(path.relative_to(out))
+
+    def work(language: Language, kept: list) -> tuple:
+        """One language's ingest, score and report."""
+        step = "ingest"
+        try:
+            corpora = _build_corpora(kept, corpus_dir, stopwords)
+            step = "score"
+            cells, overall_rows, *lines = _score(corpora, lexicon, config.scope)
+            step = "report"
+            paths = _write_reports(
+                cells, overall_rows, language, config.methods, reports_dir
+            )
+        except Exception as exc:
+            raise StageError(step, exc) from exc
+        return cells, *lines, _documents(corpora), paths
 
     summary: dict = {"out_dir": str(out), "stages": {}}
     stage = "generate"
@@ -365,23 +578,21 @@ def pipeline_run(config: RunConfig) -> dict:
         }
 
         stage = "ingest"
-        corpus_dir = out / "corpus"
-        corpora, _ = ingest_stage(records, corpus_dir, config.detector, stopwords)
-        del records  # the corpora hold what the later stages need
-        summary["stages"][stage] = {
-            "corpus_dir": rel(corpus_dir),
-            "documents": {
-                f"{lang.value}/{method.value}": corpus.N
-                for (lang, method), corpus in corpora.items()
-            },
-        }
+        records_of, _ = _clean(records, corpus_dir, config.detector)
+        # every language of the config gets its reports, records or none
+        languages = sorted(config.languages, key=corpus_mod.LANGUAGE_ORDER.__getitem__)
+        inputs = {language: records_of.get(language, []) for language in languages}
+        del records, records_of  # the fan-out hands each language its records
 
-        stage = "score"
-        scores_path, overall_path = out / "scores.jsonl", out / "overall.jsonl"
-        cells, overall_rows = score_stage(
-            corpora, lexicon, config.scope, scores_path, overall_path
-        )
-        summary["stages"][stage] = {
+        stage = "score"  # the calling process writes the two row files
+        with _map_languages(work, inputs) as results:
+            cells, rests = _write_rows(results, scores_path, overall_path)
+        report_paths = dict(zip(languages, (paths for _, paths in rests)))
+        summary["stages"]["ingest"] = {
+            "corpus_dir": rel(corpus_dir),
+            "documents": {name: n for part, _ in rests for name, n in part.items()},
+        }
+        summary["stages"]["score"] = {
             "scores": rel(scores_path),
             "overall": rel(overall_path),
             "cells": len(cells),
@@ -390,12 +601,15 @@ def pipeline_run(config: RunConfig) -> dict:
         stage = "aggregate"
         paths = aggregate_stage(cells, out / "averages")
         summary["stages"][stage] = {"files": [rel(path) for path in paths]}
-
-        stage = "report"
-        paths = report_stage(
-            cells, overall_rows, config.languages, config.methods, out / "reports"
-        )
-        summary["stages"][stage] = {"files": [rel(path) for path in paths]}
+        summary["stages"]["report"] = {
+            "files": [
+                rel(path)
+                for language in config.languages
+                for path in report_paths[language]
+            ]
+        }
+    except StageError:
+        raise  # a language's work names its own stage
     except Exception as exc:
         raise StageError(stage, exc) from exc
 

@@ -195,18 +195,18 @@ def read_scores(path: str | Path) -> list[ScoreCell]:
     return read_jsonl(path, ScoreCell.from_json_dict)
 
 
+def overall_json_dict(row: OverallRow) -> dict:
+    """``row`` as a line of ``overall.jsonl``."""
+    key, top = row
+    return {
+        **key.to_json_dict(),
+        "family": key.language.family.value,
+        "top_term": list(top) if top else None,
+    }
+
+
 def write_overall_terms(rows: Iterable[OverallRow], path: str | Path) -> int:
-    return write_jsonl(
-        path,
-        (
-            {
-                **key.to_json_dict(),
-                "family": key.language.family.value,
-                "top_term": list(top) if top else None,
-            }
-            for key, top in rows
-        ),
-    )
+    return write_jsonl(path, map(overall_json_dict, rows))
 
 
 def _overall_row(data: dict) -> OverallRow:

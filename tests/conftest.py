@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from biaslex.corpus import Corpus, Document, DocumentKey
@@ -45,3 +47,12 @@ def make_corpus(
 @pytest.fixture(scope="session")
 def seed_lexicon():
     return load_seed_lexicon()
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail a test that leaves a worker process running, as a leaked file
+    handle fails it through the ResourceWarning filter in pyproject.toml."""
+    yield
+    left = multiprocessing.active_children()
+    assert not left, f"processes left running: {left}"

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import biaslex
-from biaslex import corpus
+from biaslex import corpus, pipeline
 from biaslex.cli import main
 from biaslex.generation import HttpBackend, StubBackend
 from biaslex.identities import (
@@ -165,13 +165,16 @@ def test_a_run_whose_only_failures_are_empty_originals_resumes(tmp_path, monkeyp
     assert [f["error"] for f in failures[1]] == ["original output empty"] * 2
 
 
-@pytest.mark.parametrize("start", ["empty", "resumable", "cut-short"])
-def test_pipeline_is_the_composition_of_the_subcommands(tmp_path, start):
+@pytest.mark.parametrize("start", ["empty", "resumable", "cut-short", "two-languages"])
+def test_pipeline_is_the_composition_of_the_subcommands(tmp_path, monkeypatch, start):
     """Chaining the five stage subcommands reproduces every artifact of the
     pipeline byte for byte, from an empty record file, from a resumable
-    prefix and from one whose last line a crash cut short."""
+    prefix and from one whose last line a crash cut short; and, from an
+    empty one, for two languages, which each side runs in two processes."""
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    languages = ["tamil", "hindi"] if start == "two-languages" else ["hindi"]
     settings = {
-        "languages": ["hindi"],
+        "languages": languages,
         "methods": ["original", "simple", "complex"],
         "seed": 17,
     }
@@ -185,7 +188,7 @@ def test_pipeline_is_the_composition_of_the_subcommands(tmp_path, start):
     manual = tmp_path / "manual"
     for out in (pipe, manual):
         out.mkdir()
-    if start != "empty":
+    if start in ("resumable", "cut-short"):
         source = tmp_path / "source"
         assert main(["generate", "run", "--config", str(config_for(source))]) == 0
         lines = (source / "records.jsonl").read_bytes().splitlines(keepends=True)
@@ -214,9 +217,9 @@ def test_pipeline_is_the_composition_of_the_subcommands(tmp_path, start):
 
     pipe_tree = _tree_digest(pipe)
     del pipe_tree["pipeline_summary.json"]
-    # records, run summary, 3 corpora and their cleaning summary, scores,
-    # overall, 5 averages and 27 reports
-    assert len(pipe_tree) == 40
+    # records, run summary, 3 corpora per language and their cleaning
+    # summary, scores, overall, 5 averages and 27 reports per language
+    assert len(pipe_tree) == 10 + 30 * len(languages)
     assert _tree_digest(manual) == pipe_tree
 
 
