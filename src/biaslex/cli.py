@@ -18,6 +18,7 @@ from . import scoring
 from .artifacts import write_jsonl
 from .identities import Language, PromptMethod
 from .lexicon import (
+    DEFAULT_SIMILARITY_THRESHOLD,
     LexiconError,
     TableSimilarityOracle,
     TableSynonymProvider,
@@ -247,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate.set_defaults(func=cmd_lexicon_validate)
     expand = lexicon_sub.add_parser("expand")
     expand.add_argument("path")
-    expand.add_argument("--threshold", type=float, default=0.5)
+    expand.add_argument("--threshold", type=float, default=DEFAULT_SIMILARITY_THRESHOLD)
     expand.add_argument("--synonyms", required=True, help="lemma,synonyms CSV")
     expand.add_argument("--similarity", required=True, help="a,b,score CSV")
     expand.add_argument("--out", required=True)

@@ -240,6 +240,9 @@ def clean_records(
     for record in records:
         summary._bump(record.language, "input_records")
         text = normalize_text(record.english_text)
+        if text == record.english_text:
+            # seen_texts keeps the record's own string, not a second copy
+            text = record.english_text
         if not text:
             summary._bump(record.language, "dropped_empty_text")
             continue
@@ -255,7 +258,7 @@ def clean_records(
             continue
         seen_ids.add(record.record_id)
         seen_texts.add(dedup_key)
-        if text != record.english_text:
+        if text is not record.english_text:
             record = replace(record, english_text=text)
         kept.append(record)
         summary._bump(record.language, "kept")
@@ -310,10 +313,9 @@ def write_corpus_dir(
     corpora: dict[tuple[Language, PromptMethod], Corpus],
     out_dir: str | Path,
     summary: CleaningSummary | None = None,
-) -> list[Path]:
+) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
     for (language, method) in sorted(corpora, key=corpus_order):
         corpus = corpora[(language, method)]
         path = out / corpus_filename(language, method)
@@ -321,12 +323,8 @@ def write_corpus_dir(
             path,
             ({**doc.key.to_json_dict(), "tokens": list(doc.tokens)} for doc in corpus),
         )
-        written.append(path)
     if summary is not None:
-        summary_path = out / "cleaning_summary.json"
-        write_json(summary_path, summary.to_json_dict())
-        written.append(summary_path)
-    return written
+        write_json(out / "cleaning_summary.json", summary.to_json_dict())
 
 
 def _document(row: dict) -> Document:

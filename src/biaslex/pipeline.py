@@ -470,11 +470,6 @@ def aggregate_stage(cells: list[scoring.ScoreCell], out_dir: Path) -> list[Path]
     return paths
 
 
-def _table_key(key: corpus_mod.DocumentKey) -> tuple:
-    """The (language, application, method) of the report table a row is in."""
-    return key.language, key.application, key.method
-
-
 def _write_reports(
     cells: list[scoring.ScoreCell],
     overall_rows: list[scoring.OverallRow],
@@ -483,23 +478,13 @@ def _write_reports(
     out_dir: Path,
 ) -> list[Path]:
     """Write every format of the report table of each method and
-    application of one language under ``out_dir``, in that loop order.
-    Returns the paths written."""
+    application of one language under ``out_dir``, in that loop order;
+    ``build_report`` picks each table's rows. Returns the paths written."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    # each table's rows, grouped once rather than scanned for every table
-    table_cells: dict[tuple, list] = {}
-    for cell in cells:
-        table_cells.setdefault(_table_key(cell.key), []).append(cell)
-    table_overall: dict[tuple, list] = {}
-    for row in overall_rows:
-        table_overall.setdefault(_table_key(row[0]), []).append(row)
     paths = []
     for method in methods:
         for app in ApplicationKind:
-            key = (language, app, method)
-            table = report_mod.build_report(
-                table_cells.get(key, []), table_overall.get(key, []), *key
-            )
+            table = report_mod.build_report(cells, overall_rows, language, app, method)
             for fmt in report_mod.ReportFormat:
                 name = (
                     f"report_{language.value}_{app.value}_{method.value}.{fmt.value}"

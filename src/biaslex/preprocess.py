@@ -30,7 +30,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable
 
-from .identities import Application, ApplicationKind
+from .identities import ApplicationKind
 
 # Must be a pure function of its token: ``build_corpus`` memoizes it for the
 # length of one call, so it sees each distinct token once.
@@ -152,7 +152,7 @@ def prompt_lemmas(prompt_text: str, lemmatizer: Lemmatizer | None = None) -> fro
 
 def preprocess(
     text: str,
-    app: Application | ApplicationKind,
+    kind: ApplicationKind,
     lemmatizer: Lemmatizer | None = None,
     stopwords: frozenset[str] | None = None,
     prompt_text: str | None = None,
@@ -162,7 +162,6 @@ def preprocess(
     Exclusions are the application's frame lemmas plus, when ``prompt_text``
     is given, every lemma that occurs in the rendered prompt.
     """
-    kind = app.kind if isinstance(app, Application) else app
     lemmatize = lemmatizer or rule_lemmatize
     if stopwords is None:
         stopwords = load_stopwords()

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from biaslex.cli import build_parser, main
-from biaslex.lexicon import seed_lexicon_path
+from biaslex.lexicon import DEFAULT_SIMILARITY_THRESHOLD, seed_lexicon_path
 from biaslex.pipeline import RunConfig, parse_config
 
 
@@ -104,6 +104,13 @@ def test_lexicon_expand_rejects_bad_threshold(tmp_path):
         "--out", str(tmp_path / "out.csv"),
     )
     assert code == 1
+
+
+def test_lexicon_expand_threshold_defaults_to_the_library_default():
+    args = build_parser().parse_args(
+        "lexicon expand lex.csv --synonyms s.csv --similarity x.csv --out o.csv".split()
+    )
+    assert args.threshold == DEFAULT_SIMILARITY_THRESHOLD
 
 
 def test_prompts_emit(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -182,6 +183,29 @@ def test_cleaning_normalizes_text_and_drops_empty():
     kept, summary = clean_records(records, None)
     assert kept[0].english_text == "spaced out text"
     assert summary.dropped_empty_text == 1
+
+
+def test_cleaning_keeps_no_second_copy_of_an_unchanged_text():
+    """Normalizing returns a new string even when it changes nothing; the
+    duplicate-text check must key on the record's own, or cleaning holds
+    every kept text twice."""
+    app = Application(ApplicationKind.TODO_LIST)
+    records = [
+        make_record(
+            IDENTITIES[0], app, f"text {n} " + " ".join(["a" * 999] * 100),
+            record_id=str(n),
+        )
+        for n in range(50)
+    ]
+    texts_size = sum(len(record.english_text) for record in records)  # 5 MB
+    tracemalloc.start()
+    try:
+        kept, _ = clean_records(records, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept == records
+    assert peak < texts_size / 4
 
 
 def test_duplicate_record_id_is_dropped():

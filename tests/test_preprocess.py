@@ -5,7 +5,7 @@ import unicodedata
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biaslex.identities import Application, ApplicationKind, StoryLocation
+from biaslex.identities import ApplicationKind
 from biaslex.preprocess import (
     application_exclusions,
     load_stopwords,
@@ -129,7 +129,7 @@ def test_hobbies_frame_words_are_excluded():
 def test_story_location_words_are_excluded():
     tokens = preprocess(
         "She went to the hospital daily",
-        Application(ApplicationKind.STORY, StoryLocation.HOSPITAL),
+        ApplicationKind.STORY,
         stopwords=STOPWORDS,
     )
     assert "hospital" not in tokens
