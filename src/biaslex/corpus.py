@@ -208,6 +208,21 @@ class CleaningSummary:
     def to_json_dict(self) -> dict:
         return asdict(self)
 
+    @classmethod
+    def total(cls, parts: Iterable["CleaningSummary"]) -> "CleaningSummary":
+        """The counts of ``parts`` added up, language by language."""
+        total = cls()
+        for part in parts:
+            for name in _COUNTERS:
+                setattr(total, name, getattr(total, name) + getattr(part, name))
+            for language, counts in part.by_language.items():
+                per = total.by_language.setdefault(
+                    language, dict.fromkeys(_COUNTERS, 0)
+                )
+                for name, n in counts.items():
+                    per[name] += n
+        return total
+
 
 # the counters that by_language repeats for each language
 _COUNTERS = tuple(f.name for f in fields(CleaningSummary) if f.name != "by_language")
@@ -236,7 +251,9 @@ def clean_records(
     summary = CleaningSummary()
     kept: list[GenerationRecord] = []
     seen_ids: set[str] = set()
-    seen_texts: set[tuple[DocumentKey, str]] = set()
+    # (language, method, identity, application kind, text): a document key
+    # and its text, without a DocumentKey object per kept record
+    seen_texts: set[tuple] = set()
     for record in records:
         summary._bump(record.language, "input_records")
         text = normalize_text(record.english_text)
@@ -252,7 +269,13 @@ def clean_records(
         if detector is not None and detector(text) != "en":
             summary._bump(record.language, "dropped_non_english")
             continue
-        dedup_key = (document_key_for(record), text)
+        dedup_key = (
+            record.language,
+            record.method,
+            record.identity,
+            record.application.kind,
+            text,
+        )
         if dedup_key in seen_texts:
             summary._bump(record.language, "dropped_duplicate_text")
             continue

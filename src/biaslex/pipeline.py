@@ -17,7 +17,7 @@ import os
 import signal
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -260,8 +260,9 @@ def generate_stage(config: RunConfig) -> tuple[dict, list[corpus_mod.GenerationR
 
 # --------------------------------------------------------------------------
 # Idf, scores and report tables never mix languages, so ingest, score and
-# report are each a per-language piece and a merge; only record cleaning,
-# the two row files and the averages span languages.
+# report are each a per-language piece and a merge; only the record-id
+# check, the cleaning counts' totals, the two row files and the averages
+# span languages.
 
 
 def _usable_cpus() -> int:
@@ -339,29 +340,54 @@ def _by_language(
     }
 
 
-def _clean(
-    records: list[corpus_mod.GenerationRecord], corpus_dir: str | Path, detector: str
-) -> tuple[
-    dict[Language, list[corpus_mod.GenerationRecord]], corpus_mod.CleaningSummary
-]:
-    """Clean every record (a record id is kept once over all languages) and
-    write ``cleaning_summary.json``; return the kept records by language."""
-    cleaned, cleaning = corpus_mod.clean_records(records, DETECTORS[detector])
-    corpus_mod.write_corpus_dir({}, corpus_dir, cleaning)
-    return _by_language(cleaned, lambda record: record.language), cleaning
+def _records_by_language(
+    records: Iterable[corpus_mod.GenerationRecord],
+) -> dict[Language, list[corpus_mod.GenerationRecord]]:
+    """``records`` grouped by language, in canonical language order.
+
+    Each language is cleaned on its own, so a record id that appears under
+    two languages raises ``ValueError``. An id that starts with its
+    record's language and ``-``, as every id ``generate`` writes does,
+    cannot be another language's, so only the other ids are held.
+    """
+    grouped = _by_language(records, lambda record: record.language)
+    others: dict[str, Language] = {}
+    for language, group in grouped.items():
+        prefix = f"{language.value}-"
+        for record in group:
+            if not record.record_id.startswith(prefix):
+                others.setdefault(record.record_id, language)
+    if not others:
+        return grouped
+    for language, group in grouped.items():
+        for record in group:
+            other = others.get(record.record_id, language)
+            if other is not language:
+                both = sorted((other, language), key=corpus_mod.LANGUAGE_ORDER.get)
+                raise ValueError(
+                    f"record id {record.record_id!r} appears under both "
+                    f"{both[0].value} and {both[1].value}; a record id may "
+                    "appear under one language only"
+                )
+    return grouped
 
 
-def _build_corpora(
+def _ingest(
     records: list[corpus_mod.GenerationRecord],
     corpus_dir: str | Path,
+    detector: str,
     stopwords: frozenset[str],
-) -> dict[tuple[Language, PromptMethod], corpus_mod.Corpus]:
-    """One language's corpora, built from its kept records and written.
-    Empties ``records``, so the calling process frees them before scoring."""
-    corpora = corpus_mod.build_corpus(records, stopwords=stopwords)
+) -> tuple[
+    dict[tuple[Language, PromptMethod], corpus_mod.Corpus], corpus_mod.CleaningSummary
+]:
+    """One language's records cleaned, and its corpora built from those
+    kept and written; returns the corpora and the cleaning counts. Empties
+    ``records``, so the calling process frees them before scoring."""
+    kept, cleaning = corpus_mod.clean_records(records, DETECTORS[detector])
     records.clear()
+    corpora = corpus_mod.build_corpus(kept, stopwords=stopwords)
     corpus_mod.write_corpus_dir(corpora, corpus_dir)
-    return corpora
+    return corpora, cleaning
 
 
 def _documents(
@@ -383,14 +409,17 @@ def ingest_stage(
     """Clean the records, build one corpus per (language, method) and write
     them; ``detector`` names one of :data:`DETECTORS`. Returns each
     corpus's document count, by ``language/method``, and the cleaning
-    counts."""
-    records_of, cleaning = _clean(records, corpus_dir, detector)
+    counts, which it writes to ``cleaning_summary.json``."""
 
-    def work(language: Language, kept: list) -> dict[str, int]:
-        return _documents(_build_corpora(kept, corpus_dir, stopwords))
+    def work(language: Language, records: list) -> tuple:
+        corpora, cleaning = _ingest(records, corpus_dir, detector, stopwords)
+        return _documents(corpora), cleaning
 
-    with _map_languages(work, records_of) as results:
-        return {name: n for part in results for name, n in part.items()}, cleaning
+    with _map_languages(work, _records_by_language(records)) as results:
+        parts = list(results)
+    cleaning = corpus_mod.CleaningSummary.total(cleaning for _, cleaning in parts)
+    corpus_mod.write_corpus_dir({}, corpus_dir, cleaning)
+    return {name: n for part, _ in parts for name, n in part.items()}, cleaning
 
 
 def _score(
@@ -527,8 +556,9 @@ def pipeline_run(config: RunConfig) -> dict:
     Reads the lexicon and the stopword list first, so a missing or malformed
     one raises before anything is generated or ``out_dir`` is made. Then
     stops at the first failing stage and reports which one failed. Each
-    language's ingest, score and report are one call in
-    :func:`_map_languages`, so its corpora and tables stay in one process.
+    language's ingest (its cleaning too), score and report are one call in
+    :func:`_map_languages`, so its records, corpora and tables stay in one
+    process.
     """
     lexicon, stopwords = config.load_lexicon(), load_stopwords(config.stopwords_path)
     out = config.out_dir
@@ -538,11 +568,11 @@ def pipeline_run(config: RunConfig) -> dict:
     def rel(path: Path) -> str:
         return str(path.relative_to(out))
 
-    def work(language: Language, kept: list) -> tuple:
+    def work(language: Language, records: list) -> tuple:
         """One language's ingest, score and report."""
         step = "ingest"
         try:
-            corpora = _build_corpora(kept, corpus_dir, stopwords)
+            corpora, cleaning = _ingest(records, corpus_dir, config.detector, stopwords)
             step = "score"
             cells, overall_rows, *lines = _score(corpora, lexicon, config.scope)
             step = "report"
@@ -551,7 +581,11 @@ def pipeline_run(config: RunConfig) -> dict:
             )
         except Exception as exc:
             raise StageError(step, exc) from exc
-        return cells, *lines, _documents(corpora), paths
+        # the calling process only averages bias scores: each cell's
+        # per-term weights, already in its scores.jsonl line, stay here
+        # (they are two fifths of the memory the cells take)
+        averaged = [replace(cell, per_term={}, top_term=None) for cell in cells]
+        return averaged, *lines, cleaning, _documents(corpora), paths
 
     summary: dict = {"out_dir": str(out), "stages": {}}
     stage = "generate"
@@ -563,7 +597,7 @@ def pipeline_run(config: RunConfig) -> dict:
         }
 
         stage = "ingest"
-        records_of, _ = _clean(records, corpus_dir, config.detector)
+        records_of = _records_by_language(records)
         # every language of the config gets its reports, records or none
         languages = sorted(config.languages, key=corpus_mod.LANGUAGE_ORDER.__getitem__)
         inputs = {language: records_of.get(language, []) for language in languages}
@@ -572,10 +606,13 @@ def pipeline_run(config: RunConfig) -> dict:
         stage = "score"  # the calling process writes the two row files
         with _map_languages(work, inputs) as results:
             cells, rests = _write_rows(results, scores_path, overall_path)
-        report_paths = dict(zip(languages, (paths for _, paths in rests)))
+        stage = "ingest"  # the languages' cleaning counts, added up
+        cleaning = corpus_mod.CleaningSummary.total(rest[0] for rest in rests)
+        corpus_mod.write_corpus_dir({}, corpus_dir, cleaning)
+        report_paths = dict(zip(languages, (paths for *_, paths in rests)))
         summary["stages"]["ingest"] = {
             "corpus_dir": rel(corpus_dir),
-            "documents": {name: n for part, _ in rests for name, n in part.items()},
+            "documents": {name: n for _, part, _ in rests for name, n in part.items()},
         }
         summary["stages"]["score"] = {
             "scores": rel(scores_path),

@@ -208,6 +208,26 @@ def test_cleaning_keeps_no_second_copy_of_an_unchanged_text():
     assert peak < texts_size / 4
 
 
+def test_cleaning_keys_each_kept_text_without_a_document_key_object():
+    """The duplicate-text check keys a kept record by a plain tuple of its
+    document key's fields and its text: a DocumentKey per record would add
+    about 80 bytes each (cleaning these records peaked at about 400 bytes a
+    record with one, 325 without)."""
+    app = Application(ApplicationKind.TODO_LIST)
+    records = [
+        make_record(IDENTITIES[n % len(IDENTITIES)], app, f"text {n}", record_id=str(n))
+        for n in range(20_000)
+    ]
+    tracemalloc.start()
+    try:
+        kept, _ = clean_records(records, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == len(records)
+    assert peak < 360 * len(records)
+
+
 def test_duplicate_record_id_is_dropped():
     identity = IDENTITIES[0]
     app = Application(ApplicationKind.TODO_LIST)
