@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import json
 import os
+import select
 import signal
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from itertools import cycle
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, TypeVar
 
 from . import aggregate as agg
 from . import corpus as corpus_mod
@@ -268,25 +270,58 @@ def generate_stage(config: RunConfig) -> tuple[dict, list[corpus_mod.GenerationR
 def _usable_cpus() -> int:
     """How many CPUs this process may run on (a cgroup quota is not read);
     1 where ``os`` cannot tell."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    return len(getaffinity(0)) if getaffinity else 1
 
 
-# (work, inputs) of the fan-out, set in each forked worker
-_task: tuple = ()
+def _serve(
+    work: Callable, inputs: dict, languages: list, read: int, write: int, readers: dict
+) -> NoReturn:
+    """A forked worker: pickle each language's ``(ok, result or exception)``
+    after its length on its pipe until an exception or no reader; exit."""
+    try:
+        # Ctrl-C reaches the whole process group; the caller alone acts on it
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        import pickle  # here, as in _receive
+        os.close(read)
+        for pipe in readers.values():  # earlier workers' pipes: the caller's
+            pipe.close()
+        reader_gone = select.poll()
+        reader_gone.register(write, 0)  # reports POLLERR alone
+        ok = True
+        for language in languages:
+            if not ok or reader_gone.poll(0):
+                break
+            try:
+                data = pickle.dumps((True, work(language, inputs.pop(language))))
+            except BaseException as exc:  # the caller raises it, or a pickling error
+                ok, data = False, pickle.dumps((False, exc))
+            data = memoryview(len(data).to_bytes(8, "little") + data)
+            while data:  # a write that meets no reader raises BrokenPipeError
+                data = data[os.write(write, data) :]
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
-def _start_worker(*task) -> None:
-    global _task
-    _task = task
-    # Ctrl-C reaches the whole process group; the caller alone acts on it
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-def _run_work(language: Language):
-    work, inputs = _task
-    return work(language, inputs[language])
+def _receive(workers: dict[int, BinaryIO], languages: list[Language]) -> Iterator:
+    """Each language's result from its worker, or its exception raised; a
+    worker that ended without it is reaped and raises ChildProcessError."""
+    import pickle  # here: a run that forks no worker never pays for it
+    for pid, language in zip(cycle(list(workers)), languages):
+        size = workers[pid].read(8)
+        data = workers[pid].read(int.from_bytes(size, "little"))
+        if len(size) < 8 or len(data) < int.from_bytes(size, "little"):
+            workers.pop(pid).close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            how = f"signal {-code}" if code < 0 else f"exit status {code}"
+            raise ChildProcessError(
+                f"the worker for {language.value} ended without its result ({how})"
+            )
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        yield value
 
 
 @contextmanager
@@ -295,36 +330,41 @@ def _map_languages(
 ) -> Iterator[Iterator[T]]:
     """Yield ``work(language, value)`` for each item of ``inputs``, in order.
 
-    The languages run in forked processes, one per usable CPU up to one
-    per language. ``work`` and ``inputs`` reach them by the fork; only
-    results are pickled, and an exception keeps its type. The work stays
-    on the calling thread, through ``map``, when that count is 1 and while
-    another thread is alive: a fork copies the locks other threads hold.
-    ``inputs`` is emptied as it is handed over, so the caller does not keep
-    it. Leaving the block, by any exception too, cancels the languages not
-    yet started and waits for the workers.
+    The languages run in ``n`` forked processes, one per usable CPU up to
+    one per language; worker ``k`` takes languages ``k``, ``k + n``, ...,
+    which reach it by the fork, and sends each result or exception back on
+    its own pipe. The caller reads the pipes in language order, raising an
+    exception with its type and ``ChildProcessError`` for a dead worker.
+    The work stays on the calling thread, through ``map``, when ``n`` is 1
+    and while another thread is alive: a fork copies the locks other
+    threads hold. ``inputs`` is emptied as it is handed over. Leaving the
+    block, by any exception too, closes the pipes, so each worker stops
+    before its next language, and waits for every worker.
     """
     languages = list(inputs)
-    processes = min(_usable_cpus(), len(languages))
-    if processes < 2 or threading.active_count() > 1:
+    count = min(_usable_cpus(), len(languages))
+    if count < 2 or threading.active_count() > 1:
         yield map(lambda language: work(language, inputs.pop(language)), languages)
         return
-    # imported here: a run of one language never pays for it
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(
-        processes,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker,
-        initargs=(work, inputs),
-    )
+    workers: dict[int, BinaryIO] = {}  # pid: the read end of its pipe
+    # a Ctrl-C while forking waits until every worker ignores it
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
-        results = pool.map(_run_work, languages)
-        inputs.clear()  # every worker was forked by the first submission
-        yield results
+        for k in range(count):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                _serve(work, inputs, languages[k::count], read, write, workers)
+            os.close(write)
+            workers[pid] = open(read, "rb")
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        inputs.clear()
+        yield _receive(workers, languages)
     finally:
-        pool.shutdown(cancel_futures=True)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for pipe in workers.values():
+            pipe.close()
+        for pid in workers:
+            os.waitpid(pid, 0)
 
 
 def _by_language(
@@ -630,8 +670,8 @@ def pipeline_run(config: RunConfig) -> dict:
                 for path in report_paths[language]
             ]
         }
-    except StageError:
-        raise  # a language's work names its own stage
+    except (StageError, ChildProcessError):
+        raise  # a language's work names its own stage, a dead worker its language
     except Exception as exc:
         raise StageError(stage, exc) from exc
 

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import multiprocessing
+import os
 
 import pytest
 
@@ -51,8 +51,18 @@ def seed_lexicon():
 
 @pytest.fixture(autouse=True)
 def no_process_left_running():
-    """Fail a test that leaves a worker process running, as a leaked file
-    handle fails it through the ResourceWarning filter in pyproject.toml."""
+    """Fail a test that leaves a child process behind, running or ended but
+    not waited for, as a leaked file handle fails it through the
+    ResourceWarning filter in pyproject.toml."""
     yield
-    left = multiprocessing.active_children()
-    assert not left, f"processes left running: {left}"
+    left = []
+    try:
+        while True:
+            pid, status = os.waitpid(-1, os.WNOHANG)  # reaps an ended child
+            if pid == 0:
+                left.append("one running")
+                break
+            left.append(f"{pid} ended with wait status {status}")
+    except ChildProcessError:
+        pass  # no child is left
+    assert not left, f"child processes left behind, not waited for: {left}"

@@ -10,16 +10,18 @@ import json
 import os
 import pickle
 import shutil
+import signal
 import subprocess
 import sys
 import threading
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 import biaslex
-from biaslex import pipeline, scoring
+from biaslex import corpus, pipeline, scoring
 from biaslex.cli import EXIT_IO, main
 from biaslex.identities import Language, PromptMethod
 from biaslex.pipeline import RunConfig, StageError, generate_stage, pipeline_run
@@ -46,6 +48,21 @@ def records(tmp_path_factory) -> Path:
 def cpus(monkeypatch):
     """Pin the CPUs the fan-out sees."""
     return lambda n: monkeypatch.setattr(pipeline, "_usable_cpus", lambda: n)
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that runs for 30 s, as a worker that is never waited
+    for or never stops would make it hang."""
+
+    def expired(signum, frame):
+        raise TimeoutError("the test ran for 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, 30)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture
@@ -213,10 +230,29 @@ def test_an_interrupt_in_a_worker_reaches_the_caller(
     assert not (tmp_path / "run" / "scores.jsonl").exists()
 
 
-def test_importing_the_pipeline_does_not_import_multiprocessing():
-    """Only a fan-out that starts workers imports it, so a one-language run
-    and the import do not pay for it."""
-    code = "import sys, biaslex.pipeline; print('multiprocessing' in sys.modules)"
+def test_importing_the_pipeline_does_not_import_multiprocessing(tmp_path):
+    """The fan-out forks plain processes, so neither the import nor a run
+    that forks workers pays for ``multiprocessing`` or the process pool."""
+    code = f"""
+import os, sys
+from pathlib import Path
+from biaslex import pipeline
+from biaslex.identities import Language, PromptMethod
+
+def loaded():
+    names = ("multiprocessing", "concurrent.futures.process")
+    return [name for name in names if name in sys.modules]
+
+print(loaded())
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+pipeline._usable_cpus = lambda: 2
+pipeline.pipeline_run(pipeline.RunConfig(
+    out_dir=Path({str(tmp_path / "run")!r}), seed={SEED},
+    languages=[Language.HINDI, Language.TAMIL], methods=[PromptMethod.ORIGINAL],
+))
+print(len(forks), loaded())
+"""
     result = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": SRC},
@@ -225,7 +261,110 @@ def test_importing_the_pipeline_does_not_import_multiprocessing():
         check=True,
         timeout=60,
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.splitlines() == ["[]", "2 []"]
+
+
+@pytest.fixture
+def dying_worker(monkeypatch):
+    """Make the worker that cleans bengali's records end at once, as a
+    crash would: ``die()`` is called in it and must not return."""
+
+    clean, parent = corpus.clean_records, os.getpid()
+
+    def kill(die):
+        def dying(records, *args, **kwargs):
+            if os.getpid() != parent and records[0].language is Language.BENGALI:
+                die()
+            return clean(records, *args, **kwargs)
+
+        monkeypatch.setattr(corpus, "clean_records", dying)
+
+    return kill
+
+
+def test_a_worker_that_dies_is_a_child_process_error(
+    records, tmp_path, cpus, dying_worker, capsys, deadline
+):
+    """A worker that ends without its result names its language and how it
+    ended; ``ingest`` and ``pipeline`` exit 3 with a diagnostic."""
+    cpus(2)
+    dying_worker(lambda: os._exit(3))
+    argv = ["ingest", "--in", str(records), "--out", str(tmp_path / "corpus")]
+    assert main(argv) == EXIT_IO
+    diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diagnostic == {
+        "error": "ChildProcessError",
+        "message": "the worker for bengali ended without its result (exit status 3)",
+    }
+    dying_worker(lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(ChildProcessError, match=r"bengali .*\(signal 9\)$"):
+        run(records, tmp_path / "run")
+    assert temp_files(tmp_path) == []
+
+
+@pytest.fixture(scope="module")
+def four_languages(tmp_path_factory) -> Path:
+    out = tmp_path_factory.mktemp("four")
+    languages = [Language.HINDI, Language.URDU, Language.BENGALI, Language.PUNJABI]
+    generate_stage(
+        RunConfig(out_dir=out, languages=languages, methods=METHODS, seed=SEED)
+    )
+    return out / "records.jsonl"
+
+
+def test_a_failed_language_stops_its_worker(
+    four_languages, tmp_path, cpus, monkeypatch, deadline
+):
+    """With 2 workers, hindi and bengali share the first: hindi's failure
+    stops it before bengali starts."""
+    clean, parent = corpus.clean_records, os.getpid()
+
+    def failing(records, *args, **kwargs):
+        if os.getpid() != parent and records[0].language is Language.HINDI:
+            raise ValueError("bad hindi records")
+        return clean(records, *args, **kwargs)
+
+    monkeypatch.setattr(corpus, "clean_records", failing)
+    cpus(2)
+    languages = [Language.HINDI, Language.URDU, Language.BENGALI, Language.PUNJABI]
+    with pytest.raises(StageError) as excinfo:
+        run(four_languages, tmp_path / "run", languages=languages)
+    assert excinfo.value.stage == "ingest"
+    assert str(excinfo.value.cause) == "bad hindi records"
+    assert not list((tmp_path / "run").rglob("*bengali*"))
+    assert temp_files(tmp_path) == []
+
+
+def test_a_failed_write_in_the_caller_stops_every_worker(
+    four_languages, tmp_path, cpus, monkeypatch, deadline
+):
+    """The caller fails before its first result arrives, so each worker
+    finishes the language under way and starts no other."""
+    atomic_open, clean, parent = pipeline.atomic_open, corpus.clean_records, os.getpid()
+
+    @contextmanager
+    def failing(path):
+        if Path(path).name == "scores.jsonl":
+            raise OSError(28, "No space left on device")
+        with atomic_open(path) as handle:
+            yield handle
+
+    def slow(*args, **kwargs):  # the caller has failed long before this ends
+        if os.getpid() != parent:
+            time.sleep(0.2)
+        return clean(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "atomic_open", failing)
+    monkeypatch.setattr(corpus, "clean_records", slow)
+    cpus(2)
+    languages = [Language.HINDI, Language.URDU, Language.BENGALI, Language.PUNJABI]
+    with pytest.raises(StageError) as excinfo:
+        run(four_languages, tmp_path / "run", languages=languages)
+    assert excinfo.value.stage == "score"
+    assert excinfo.value.cause.errno == 28
+    corpora = sorted(path.name for path in (tmp_path / "run" / "corpus").iterdir())
+    assert corpora == ["corpus_hindi_original.jsonl", "corpus_urdu_original.jsonl"]
+    assert temp_files(tmp_path) == []
 
 
 def test_a_stage_error_survives_pickling():
