@@ -30,6 +30,8 @@ from biaslex.scoring import Scope
 # config order differs from canonical order (hindi, bengali, tamil); one
 # method keeps the runs short
 LANGUAGES = [Language.TAMIL, Language.HINDI, Language.BENGALI]
+# canonical order: with 2 workers, hindi and bengali share the first
+FOUR_LANGUAGES = [Language.HINDI, Language.URDU, Language.BENGALI, Language.PUNJABI]
 METHODS = [PromptMethod.ORIGINAL]
 SEED = 11
 SRC = str(Path(biaslex.__file__).resolve().parent.parent)
@@ -305,9 +307,8 @@ def test_a_worker_that_dies_is_a_child_process_error(
 @pytest.fixture(scope="module")
 def four_languages(tmp_path_factory) -> Path:
     out = tmp_path_factory.mktemp("four")
-    languages = [Language.HINDI, Language.URDU, Language.BENGALI, Language.PUNJABI]
     generate_stage(
-        RunConfig(out_dir=out, languages=languages, methods=METHODS, seed=SEED)
+        RunConfig(out_dir=out, languages=FOUR_LANGUAGES, methods=METHODS, seed=SEED)
     )
     return out / "records.jsonl"
 
@@ -326,9 +327,8 @@ def test_a_failed_language_stops_its_worker(
 
     monkeypatch.setattr(corpus, "clean_records", failing)
     cpus(2)
-    languages = [Language.HINDI, Language.URDU, Language.BENGALI, Language.PUNJABI]
     with pytest.raises(StageError) as excinfo:
-        run(four_languages, tmp_path / "run", languages=languages)
+        run(four_languages, tmp_path / "run", languages=FOUR_LANGUAGES)
     assert excinfo.value.stage == "ingest"
     assert str(excinfo.value.cause) == "bad hindi records"
     assert not list((tmp_path / "run").rglob("*bengali*"))
@@ -357,9 +357,8 @@ def test_a_failed_write_in_the_caller_stops_every_worker(
     monkeypatch.setattr(pipeline, "atomic_open", failing)
     monkeypatch.setattr(corpus, "clean_records", slow)
     cpus(2)
-    languages = [Language.HINDI, Language.URDU, Language.BENGALI, Language.PUNJABI]
     with pytest.raises(StageError) as excinfo:
-        run(four_languages, tmp_path / "run", languages=languages)
+        run(four_languages, tmp_path / "run", languages=FOUR_LANGUAGES)
     assert excinfo.value.stage == "score"
     assert excinfo.value.cause.errno == 28
     corpora = sorted(path.name for path in (tmp_path / "run" / "corpus").iterdir())
