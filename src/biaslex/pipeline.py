@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from itertools import cycle
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, NoReturn, TypeVar
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, NoReturn, TypeVar
 
 from . import aggregate as agg
 from . import corpus as corpus_mod
@@ -33,6 +33,9 @@ from .generation import ConfigError
 from .identities import ApplicationKind, Language, PromptMethod
 from .lexicon import BiasLexicon, load_lexicon, load_seed_lexicon
 from .preprocess import load_stopwords
+
+if TYPE_CHECKING:
+    from .http_backend import HttpBackend
 
 T = TypeVar("T")
 X = TypeVar("X")
@@ -70,15 +73,16 @@ def _block(block: object, key: str, cls: type):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _backend(block: object) -> gen.HttpBackend | None:
+def _backend(block: object) -> HttpBackend | None:
     """The backend a ``backend`` block names by its ``kind``: an
-    :class:`~biaslex.generation.HttpBackend`, or ``None`` for the stub."""
+    :class:`~biaslex.http_backend.HttpBackend`, or ``None`` for the stub."""
     if not isinstance(block, dict):
         raise ConfigError("'backend' must be an object")
     options = dict(block)
     kind = options.pop("kind", "stub")
     if kind == "http":
-        return _block(options, "backend", gen.HttpBackend)
+        from .http_backend import HttpBackend  # here: a stub run never loads it
+        return _block(options, "backend", HttpBackend)
     if kind != "stub":
         raise ConfigError(f"unknown backend kind {kind!r}")
     if options:
@@ -101,7 +105,7 @@ class RunConfig:
     languages: list[Language] = field(default_factory=lambda: [Language.HINDI])
     methods: list[PromptMethod] = field(default_factory=lambda: list(PromptMethod))
     seed: int = 0
-    backend: gen.HttpBackend | None = None  # None: the stub, seeded by ``seed``
+    backend: HttpBackend | None = None  # None: the stub, seeded by ``seed``
     generation: gen.GenerationConfig = field(default_factory=gen.GenerationConfig)
     translation: gen.TranslationConfig = field(default_factory=gen.TranslationConfig)
     concurrency: int = 1
@@ -122,8 +126,10 @@ class RunConfig:
         gen.check_number("concurrency", self.concurrency, 1, integer=True)
         if self.detector not in DETECTORS:
             raise ConfigError(f"detector must be one of {list(DETECTORS)}: {self.detector!r}")
-        if not isinstance(self.backend, gen.HttpBackend | None):
-            raise ConfigError(f"backend is not an HttpBackend: {self.backend!r}")
+        if self.backend is not None:
+            from .http_backend import HttpBackend
+            if not isinstance(self.backend, HttpBackend):
+                raise ConfigError(f"backend is not an HttpBackend: {self.backend!r}")
 
     def make_backend(self) -> gen.Backend:
         return self.backend or gen.StubBackend(seed=self.seed)

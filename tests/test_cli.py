@@ -544,6 +544,9 @@ _LOCAL_HTTP = {"kind": "http", "url": "http://127.0.0.1:9"}
             {"generation": {"repetition_penalty": float("inf")}},
             "generation: repetition_penalty",
         ),
+        ({"generation": {"temperatur": 0.7}}, "unknown generation keys: temperatur"),
+        ({"translation": {"beams": 3}}, "unknown translation keys: beams"),
+        ({"backend": {**_LOCAL_HTTP, "retries": 1}}, "unknown backend keys: retries"),
     ],
     ids=[
         "http-without-url",
@@ -574,6 +577,9 @@ _LOCAL_HTTP = {"kind": "http", "url": "http://127.0.0.1:9"}
         "string-temperature",
         "bool-top-p",
         "infinite-repetition-penalty",
+        "unknown-generation-key",
+        "unknown-translation-key",
+        "unknown-backend-key",
     ],
 )
 def test_pipeline_refuses_a_malformed_config_before_running(

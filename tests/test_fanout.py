@@ -232,28 +232,44 @@ def test_an_interrupt_in_a_worker_reaches_the_caller(
     assert not (tmp_path / "run" / "scores.jsonl").exists()
 
 
-def test_importing_the_pipeline_does_not_import_multiprocessing(tmp_path):
+def test_a_run_loads_only_the_modules_it_uses(tmp_path):
     """The fan-out forks plain processes, so neither the import nor a run
-    that forks workers pays for ``multiprocessing`` or the process pool."""
+    that forks workers pays for ``multiprocessing`` or the process pool;
+    the HTTP client loads only for an http backend, and the thread pool
+    only for a run above concurrency 1."""
     code = f"""
 import os, sys
 from pathlib import Path
+import biaslex.cli
 from biaslex import pipeline
 from biaslex.identities import Language, PromptMethod
 
 def loaded():
-    names = ("multiprocessing", "concurrent.futures.process")
+    names = (
+        "multiprocessing", "concurrent.futures.process", "concurrent.futures",
+        "http.client", "urllib.request", "biaslex.http_backend",
+    )
     return [name for name in names if name in sys.modules]
+
+def run(name, concurrency):
+    pipeline.pipeline_run(pipeline.RunConfig(
+        out_dir=Path({str(tmp_path)!r}) / name, seed={SEED},
+        languages=[Language.HINDI, Language.TAMIL], methods=[PromptMethod.ORIGINAL],
+        concurrency=concurrency,
+    ))
 
 print(loaded())
 forks, fork = [], os.fork
 os.fork = lambda: forks.append(1) or fork()
 pipeline._usable_cpus = lambda: 2
-pipeline.pipeline_run(pipeline.RunConfig(
-    out_dir=Path({str(tmp_path / "run")!r}), seed={SEED},
-    languages=[Language.HINDI, Language.TAMIL], methods=[PromptMethod.ORIGINAL],
-))
+run("serial", 1)
 print(len(forks), loaded())
+run("threaded", 2)
+print(loaded())
+pipeline.parse_config(
+    {{"out_dir": "run", "backend": {{"kind": "http", "url": "http://127.0.0.1:9"}}}}
+)
+print(loaded())
 """
     result = subprocess.run(
         [sys.executable, "-c", code],
@@ -263,7 +279,12 @@ print(len(forks), loaded())
         check=True,
         timeout=60,
     )
-    assert result.stdout.splitlines() == ["[]", "2 []"]
+    assert result.stdout.splitlines() == [
+        "[]",
+        "2 []",
+        "['concurrent.futures']",
+        "['concurrent.futures', 'http.client', 'urllib.request', 'biaslex.http_backend']",
+    ]
 
 
 @pytest.fixture
@@ -364,6 +385,62 @@ def test_a_failed_write_in_the_caller_stops_every_worker(
     corpora = sorted(path.name for path in (tmp_path / "run" / "corpus").iterdir())
     assert corpora == ["corpus_hindi_original.jsonl", "corpus_urdu_original.jsonl"]
     assert temp_files(tmp_path) == []
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_scoring_error_in_a_language_is_a_score_stage_error(
+    records, tmp_path, cpus, monkeypatch, n
+):
+    def failing(*args, **kwargs):
+        raise ValueError("bad corpus")
+
+    monkeypatch.setattr(scoring, "score_corpus", failing)
+    cpus(n)
+    with pytest.raises(StageError) as excinfo:
+        run(records, tmp_path / "run")
+    assert excinfo.value.stage == "score"
+    assert str(excinfo.value.cause) == "bad corpus"
+
+
+def test_a_failed_write_of_the_cleaning_totals_is_an_ingest_stage_error(
+    records, tmp_path, cpus, monkeypatch
+):
+    """The caller writes ``cleaning_summary.json`` after the row files."""
+    write_json = corpus.write_json
+
+    def failing(path, data):
+        if Path(path).name == "cleaning_summary.json":
+            raise OSError(28, "No space left on device")
+        write_json(path, data)
+
+    monkeypatch.setattr(corpus, "write_json", failing)
+    cpus(2)
+    with pytest.raises(StageError) as excinfo:
+        run(records, tmp_path / "run")
+    assert excinfo.value.stage == "ingest"
+    assert excinfo.value.cause.errno == 28
+    assert (tmp_path / "run" / "scores.jsonl").exists()
+
+
+def test_a_worker_holds_no_read_end_of_another_workers_pipe(tmp_path, cpus, deadline):
+    """Hindi's worker finishes after the caller has failed. Had urdu's
+    worker kept a copy of the read end of hindi's pipe, hindi's result
+    would still fit in it and its worker would start bengali."""
+    started = tmp_path / "started"
+    started.mkdir()
+    sleeps = {Language.HINDI: 0.5, Language.URDU: 1.5}
+
+    def work(language: Language, value: int) -> int:
+        (started / language.value).touch()
+        time.sleep(sleeps.get(language, 0))
+        return value
+
+    cpus(2)
+    with pytest.raises(RuntimeError, match="the caller failed"):
+        with pipeline._map_languages(work, dict.fromkeys(FOUR_LANGUAGES, 1)):
+            time.sleep(0.2)
+            raise RuntimeError("the caller failed")
+    assert sorted(path.name for path in started.iterdir()) == ["hindi", "urdu"]
 
 
 def test_a_stage_error_survives_pickling():

@@ -21,14 +21,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from biaslex import generation
+from biaslex import http_backend
 from biaslex.artifacts import RowError, write_jsonl
 from biaslex.corpus import read_records
 from biaslex.generation import (
     BackendError,
     BackendUnavailableError,
     GenerationConfig,
-    HttpBackend,
     MalformedResponseError,
     PrerequisiteMissingError,
     RecordSink,
@@ -36,11 +35,11 @@ from biaslex.generation import (
     StubBackend,
     TranslationConfig,
     _STUB_VOCAB,
-    _retry_after,
     _stub_text,
     record_id_for,
     run_matrix,
 )
+from biaslex.http_backend import HttpBackend, _retry_after
 from biaslex.identities import (
     Application,
     ApplicationKind,
@@ -369,7 +368,7 @@ def keep_alive_server():
 def sleeps(monkeypatch):
     """Backoff delays the HTTP backend asks for, recorded instead of slept."""
     delays = []
-    monkeypatch.setattr(generation, "time", SimpleNamespace(sleep=delays.append))
+    monkeypatch.setattr(http_backend, "time", SimpleNamespace(sleep=delays.append))
     return delays
 
 

@@ -12,7 +12,8 @@ import pytest
 import biaslex
 from biaslex import corpus, pipeline
 from biaslex.cli import main
-from biaslex.generation import HttpBackend, StubBackend
+from biaslex.generation import StubBackend
+from biaslex.http_backend import HttpBackend
 from biaslex.identities import (
     Language,
     PromptMethod,
@@ -57,6 +58,11 @@ def test_parse_config_http_backend(tmp_path):
     assert backend.url == "http://example.test"
     assert backend.translate_url == "http://example.test"
     assert backend.max_retries == 1
+
+
+def test_run_config_refuses_a_backend_that_is_not_http(tmp_path):
+    with pytest.raises(ConfigError, match="backend is not an HttpBackend"):
+        RunConfig(out_dir=tmp_path, backend=StubBackend())
 
 
 def test_parse_config_rejects_http_without_url(tmp_path):
