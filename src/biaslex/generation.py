@@ -14,13 +14,15 @@ Request bodies:
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import product, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .artifacts import RowError, jsonl_line, parse_row
+from .artifacts import RowError, parse_row
 from .corpus import GenerationRecord
 from .identities import (
     Application,
@@ -125,13 +127,18 @@ _STUB_BITS = len(_STUB_VOCAB).bit_length()
 
 def _stub_text(prompt: str, seed: int) -> str:
     digest = hashlib.sha256(f"{seed}\x1f{prompt}".encode("utf-8")).digest()
-    rng = random.Random(digest)
-    length = rng.randint(35, 60)
-    # Random.choice's own rule (_randbelow_with_getrandbits, CPython 3.10-3.13)
-    # without a method call per word: draw bit_length(n) bits, again while
-    # the draw is >= n. test_stub_text_matches_the_choice_reference pins it
-    # to the Random.choice reference in tests/oracle.py.
-    getrandbits, n = rng.getrandbits, len(_STUB_VOCAB)
+    getrandbits = random.Random(digest).getrandbits
+    # Random.randint and Random.choice share one rule
+    # (_randbelow_with_getrandbits, CPython 3.10-3.13), inlined here without a
+    # method call per draw: draw bit_length(n) bits, again while the draw is
+    # >= n. randint(35, 60) is 35 plus a draw below 26 (5 bits), randint(6, 12)
+    # is 6 plus a draw below 7 (3 bits). test_stub_text_matches_the_choice_reference
+    # pins this to the randint and choice reference in tests/oracle.py.
+    length = getrandbits(5)
+    while length >= 26:
+        length = getrandbits(5)
+    length += 35
+    n = len(_STUB_VOCAB)
     words = []
     for _ in range(length):
         r = getrandbits(_STUB_BITS)
@@ -141,7 +148,10 @@ def _stub_text(prompt: str, seed: int) -> str:
     sentences = []
     start = 0
     while start < length:
-        stop = min(length, start + rng.randint(6, 12))
+        size = getrandbits(3)
+        while size >= 7:
+            size = getrandbits(3)
+        stop = min(length, start + 6 + size)
         chunk = words[start:stop]
         sentences.append(chunk[0].capitalize() + " " + " ".join(chunk[1:]) + ".")
         start = stop
@@ -188,6 +198,41 @@ def record_id_for(
     if app.story_location is not None:
         parts.append(app.story_location.value)
     return "-".join(parts)
+
+
+# the 288 (identity, application) pairs of one phase, in canonical order
+_GRID_CELLS = tuple(product(enumerate_identities(), iter_applications()))
+# a cell still to generate: its record id, identity, application and prompt
+_Cell = tuple[str, Identity, Application, str]
+
+# the JSON of each grid identity and application, keyed by value
+_GRID_JSON = {
+    value: json.dumps(value.to_json_dict(), ensure_ascii=False)
+    for value in (*enumerate_identities(), *iter_applications())
+}
+_string = json.encoder.encode_basestring  # what json.dumps(ensure_ascii=False) uses
+
+
+def _value_json(value: Identity | Application) -> str:
+    try:
+        return _GRID_JSON[value]
+    except KeyError:  # an application no grid cell has, such as a story with no location
+        return json.dumps(value.to_json_dict(), ensure_ascii=False)
+
+
+def _record_line(record: GenerationRecord) -> str:
+    """``jsonl_line(record.to_json_dict())``, byte for byte, put together
+    from the cached JSON of the record's identity and application."""
+    return (
+        f'{{"record_id": {_string(record.record_id)}, '
+        f'"language": "{record.language.value}", '
+        f'"method": "{record.method.value}", '
+        f'"identity": {_value_json(record.identity)}, '
+        f'"application": {_value_json(record.application)}, '
+        f'"prompt_text": {_string(record.prompt_text)}, '
+        f'"raw_output": {_string(record.raw_output)}, '
+        f'"english_text": {_string(record.english_text)}}}\n'
+    )
 
 
 class RecordSink:
@@ -264,7 +309,7 @@ class RecordSink:
     def append(self, record: GenerationRecord) -> None:
         if self._handle is None:
             self._handle = open(self.path, "a", encoding="utf-8")
-        self._handle.write(jsonl_line(record.to_json_dict()))
+        self._handle.write(_record_line(record))
         self._handle.flush()
         self._index(record)
 
@@ -340,24 +385,19 @@ def run_matrix(
     ordered_methods = [m for m in PromptMethod if m in set(methods)]
 
     def attempt(
-        cell: GenerationRecord,
-    ) -> tuple[GenerationRecord, GenerationRecord | Exception]:
-        """The cell and its record, or the exception its calls raised;
-        Exception only, so a KeyboardInterrupt raised in a call propagates."""
+        language: Language, method: PromptMethod, cell: _Cell
+    ) -> tuple[str, GenerationRecord | Exception]:
+        """The cell's record id and its record, or the exception its calls
+        raised; Exception only, so a KeyboardInterrupt raised in a call
+        propagates."""
+        record_id, identity, app, prompt = cell
         try:
-            raw = backend.generate(cell.prompt_text, gen_config)
+            raw = backend.generate(prompt, gen_config)
             english = backend.translate(raw, trans_config)
         except Exception as exc:
-            return cell, exc
-        return cell, GenerationRecord(
-            cell.record_id,
-            cell.language,
-            cell.method,
-            cell.identity,
-            cell.application,
-            cell.prompt_text,
-            raw,
-            english,
+            return record_id, exc
+        return record_id, GenerationRecord(
+            record_id, language, method, identity, app, prompt, raw, english
         )
 
     check_number("concurrency", concurrency, 1, integer=True)
@@ -387,14 +427,16 @@ def run_matrix(
                 cells = _phase_cells(language, method, sink, summary)
                 # requests may run concurrently; results are persisted in cell
                 # order so re-runs produce byte-identical files
-                results = (map if pool is None else pool.map)(attempt, cells)
+                results = (map if pool is None else pool.map)(
+                    attempt, repeat(language), repeat(method), cells
+                )
                 backend_errors = []
-                for cell, result in results:
+                for record_id, result in results:
                     if isinstance(result, Exception):
                         counts["failed"] += 1
                         summary.failed_calls += 1
                         summary.failures.append(
-                            {"record_id": cell.record_id, "error": str(result)}
+                            {"record_id": record_id, "error": str(result)}
                         )
                         if isinstance(result, BackendError):
                             backend_errors.append(result)
@@ -416,34 +458,30 @@ def _phase_cells(
     method: PromptMethod,
     sink: RecordSink,
     summary: RunSummary,
-) -> list[GenerationRecord]:
-    """The cells of one (language, method) phase still to generate: records
-    with their prompt and no output yet."""
+) -> list[_Cell]:
+    """The cells of one (language, method) phase still to generate."""
     cells = []
     counts = summary._cell(language, method)
-    for identity in enumerate_identities():
-        for app in iter_applications():
-            counts["requested"] += 1
-            rid = record_id_for(language, method, identity, app)
-            if rid in sink:
-                counts["skipped"] += 1
-                continue
-            if method is PromptMethod.ORIGINAL:
-                prompt = render_application_prompt(identity, app, language)
-            else:
-                original = sink.original(
-                    record_id_for(language, PromptMethod.ORIGINAL, identity, app)
-                )
-                if not original:
-                    # nothing to debias; render_debias_prompt would refuse it
-                    counts["failed"] += 1
-                    problem = "missing" if original is None else "empty"
-                    summary.failures.append(
-                        {"record_id": rid, "error": f"original output {problem}"}
-                    )
-                    continue
-                prompt = render_debias_prompt(method, original)
-            cells.append(
-                GenerationRecord(rid, language, method, identity, app, prompt, "", "")
+    for identity, app in _GRID_CELLS:
+        counts["requested"] += 1
+        rid = record_id_for(language, method, identity, app)
+        if rid in sink:
+            counts["skipped"] += 1
+            continue
+        if method is PromptMethod.ORIGINAL:
+            prompt = render_application_prompt(identity, app, language)
+        else:
+            original = sink.original(
+                record_id_for(language, PromptMethod.ORIGINAL, identity, app)
             )
+            if not original:
+                # nothing to debias; render_debias_prompt would refuse it
+                counts["failed"] += 1
+                problem = "missing" if original is None else "empty"
+                summary.failures.append(
+                    {"record_id": rid, "error": f"original output {problem}"}
+                )
+                continue
+            prompt = render_debias_prompt(method, original)
+        cells.append((rid, identity, app, prompt))
     return cells

@@ -286,8 +286,6 @@ def _serve(
     """A forked worker: pickle each language's ``(ok, result or exception)``
     after its length on its pipe until an exception or no reader; exit."""
     try:
-        # Ctrl-C reaches the whole process group; the caller alone acts on it
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
         import pickle  # here, as in _receive
         os.close(read)
         for pipe in readers.values():  # earlier workers' pipes: the caller's
@@ -353,7 +351,10 @@ def _map_languages(
         yield map(lambda language: work(language, inputs.pop(language)), languages)
         return
     workers: dict[int, BinaryIO] = {}  # pid: the read end of its pipe
-    # a Ctrl-C while forking waits until every worker ignores it
+    # Ctrl-C reaches the whole process group; the caller alone acts on it.
+    # Each worker is forked with SIGINT blocked and never unblocks it, so a
+    # SIGINT stays pending in a worker until it exits; the caller unblocks
+    # it once every worker is forked.
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
         for k in range(count):

@@ -232,6 +232,25 @@ def test_an_interrupt_in_a_worker_reaches_the_caller(
     assert not (tmp_path / "run" / "scores.jsonl").exists()
 
 
+def test_a_sigint_in_a_worker_stays_pending_and_every_result_arrives(cpus, deadline):
+    """A Ctrl-C reaches every process of the group. Workers are forked with
+    SIGINT blocked and never unblock it, so only the caller acts on it."""
+    parent = os.getpid()
+
+    def work(language: Language, value: int) -> int | None:
+        if os.getpid() != parent:
+            try:
+                os.kill(os.getpid(), signal.SIGINT)
+            except KeyboardInterrupt:  # not raised in the caller: pytest would stop
+                return None
+        return value
+
+    cpus(2)
+    inputs = {language: k for k, language in enumerate(FOUR_LANGUAGES)}
+    with pipeline._map_languages(work, inputs) as results:
+        assert list(results) == [0, 1, 2, 3]
+
+
 def test_a_run_loads_only_the_modules_it_uses(tmp_path):
     """The fan-out forks plain processes, so neither the import nor a run
     that forks workers pays for ``multiprocessing`` or the process pool;

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 import oracle
 from biaslex import http_backend
-from biaslex.artifacts import RowError, write_jsonl
-from biaslex.corpus import read_records
+from biaslex.artifacts import RowError, jsonl_line, parse_row, write_jsonl
+from biaslex.corpus import GenerationRecord, read_records
 from biaslex.generation import (
     BackendError,
     BackendUnavailableError,
@@ -43,11 +43,19 @@ from biaslex.http_backend import HttpBackend, _retry_after
 from biaslex.identities import (
     Application,
     ApplicationKind,
+    Children,
+    Gender,
+    Identity,
     Language,
+    MaritalStatus,
     PromptMethod,
+    Religion,
+    StoryLocation,
     enumerate_identities,
+    iter_applications,
 )
 from biaslex.pipeline import RunConfig, generate_stage
+from biaslex.prompts import render_application_prompt
 
 
 def test_generation_config_defaults():
@@ -207,6 +215,61 @@ def test_every_sink_line_is_complete(tmp_path):
 @settings(max_examples=500, deadline=None)
 def test_stub_text_matches_the_choice_reference(prompt, seed):
     assert _stub_text(prompt, seed) == oracle.stub_text(prompt, seed, _STUB_VOCAB)
+
+
+# JSON's hard cases weighted up: quotes, backslashes, control characters, the
+# line and paragraph separators json.dumps leaves raw, and astral characters
+_json_text = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x1f\x7f\x85\u2028\u2029🙂𝔸'), st.characters())
+)
+
+
+@given(
+    record_id=_json_text,
+    prompt_text=_json_text,
+    raw_output=_json_text,
+    english_text=_json_text,
+    language=st.sampled_from(Language),
+    method=st.sampled_from(PromptMethod),
+    # built fresh, so equal to the canonical instances but not them
+    identity=st.builds(
+        Identity,
+        st.sampled_from(Religion),
+        st.sampled_from(Gender),
+        st.sampled_from(MaritalStatus),
+        st.sampled_from(Children),
+    ),
+    app=st.one_of(
+        st.builds(Application, st.sampled_from(ApplicationKind)),
+        st.builds(Application, st.just(ApplicationKind.STORY), st.sampled_from(StoryLocation)),
+    ),
+)
+@example(
+    record_id="hindi-original",
+    prompt_text='say "\\n"\n',
+    raw_output="\x00\u2028\u2029",
+    english_text="\U0001f642",
+    language=Language.TAMIL,
+    method=PromptMethod.COMPLEX_DEBIAS,
+    identity=Identity(Religion.MUSLIM, Gender.FEMALE, MaritalStatus.SINGLE, Children.ONE_CHILD),
+    app=Application(ApplicationKind.STORY),  # a story with no location: on no grid cell
+)
+@settings(max_examples=100, deadline=None)
+def test_the_sink_writes_each_record_as_its_json_line(
+    tmp_path_factory, record_id, prompt_text, raw_output, english_text,
+    language, method, identity, app,
+):
+    record = GenerationRecord(
+        record_id, language, method, identity, app, prompt_text, raw_output, english_text
+    )
+    path = tmp_path_factory.getbasetemp() / "one-record.jsonl"
+    path.unlink(missing_ok=True)
+    sink = RecordSink(path)
+    sink.append(record)
+    sink.close()
+    line = path.read_bytes()
+    assert line == jsonl_line(record.to_json_dict()).encode("utf-8")
+    assert parse_row(line, GenerationRecord.from_json_dict, path, 1) == record
 
 
 def test_concurrency_preserves_order(tmp_path):
@@ -800,24 +863,34 @@ def test_runtime_does_not_import_requests():
     assert (result.returncode, result.stdout.strip()) == (0, "False"), result.stderr
 
 
-def test_record_failures_do_not_stop_the_run(tmp_path):
-    class FlakyBackend(StubBackend):
-        calls = 0
+@pytest.mark.parametrize("concurrency", [1, 2])
+def test_record_failures_do_not_stop_the_run(tmp_path, concurrency):
+    # every 10th cell in canonical order fails, whichever thread calls for it
+    cells = [(i, a) for i in enumerate_identities() for a in iter_applications()]
+    failing = cells[9::10]
+    outage = {render_application_prompt(i, a, Language.HINDI) for i, a in failing}
 
+    class FlakyBackend(StubBackend):
         def generate(self, prompt, config):
-            type(self).calls += 1
-            if type(self).calls % 10 == 0:
+            if prompt in outage:
                 raise BackendUnavailableError("transient outage")
             return super().generate(prompt, config)
 
     sink = RecordSink(tmp_path / "records.jsonl")
     summary = run_matrix(
-        [Language.HINDI], [PromptMethod.ORIGINAL], FlakyBackend(seed=1), sink
+        [Language.HINDI], [PromptMethod.ORIGINAL], FlakyBackend(seed=1), sink,
+        concurrency=concurrency,
     )
     counts = summary.to_json_dict()["counts"]["hindi/original"]
     assert counts["failed"] == 28
     assert counts["generated"] == 260
-    assert len(summary.failures) == 28
+    assert summary.failures == [
+        {
+            "record_id": record_id_for(Language.HINDI, PromptMethod.ORIGINAL, i, a),
+            "error": "transient outage",
+        }
+        for i, a in failing
+    ]
     assert len(read_records(sink.path)) == 260
 
 
