@@ -140,22 +140,27 @@ def _stub_text(prompt: str, seed: int) -> str:
     length += 35
     n = len(_STUB_VOCAB)
     words = []
+    append = words.append
     for _ in range(length):
         r = getrandbits(_STUB_BITS)
         while r >= n:
             r = getrandbits(_STUB_BITS)
-        words.append(_STUB_VOCAB[r])
-    sentences = []
+        append(_STUB_VOCAB[r])
+    # sentences of 6 to 12 words, the last cut at the end of the text; each
+    # starts capitalized and ends with "." (" ." after a lone word), marked
+    # on the words themselves so the text is one join
     start = 0
     while start < length:
         size = getrandbits(3)
         while size >= 7:
             size = getrandbits(3)
-        stop = min(length, start + 6 + size)
-        chunk = words[start:stop]
-        sentences.append(chunk[0].capitalize() + " " + " ".join(chunk[1:]) + ".")
-        start = stop
-    return " ".join(sentences)
+        words[start] = words[start].capitalize()
+        last = start
+        start += 6 + size
+        if start < length:
+            words[start - 1] += "."
+    words[-1] += " ." if last == length - 1 else "."
+    return " ".join(words)
 
 
 class StubBackend:
@@ -186,9 +191,17 @@ def record_id_for(
     identity: Identity,
     app: Application,
 ) -> str:
+    return _id_head(language, method) + _cell_id(identity, app)
+
+
+def _id_head(language: Language, method: PromptMethod) -> str:
+    """The part of a record id before its cell id."""
+    return f"{language.value}-{method.value}-"
+
+
+def _cell_id(identity: Identity, app: Application) -> str:
+    """The part of a record id after its language and method."""
     parts = [
-        language.value,
-        method.value,
         identity.religion.value,
         identity.gender.value,
         identity.marital_status.value,
@@ -200,8 +213,12 @@ def record_id_for(
     return "-".join(parts)
 
 
-# the 288 (identity, application) pairs of one phase, in canonical order
-_GRID_CELLS = tuple(product(enumerate_identities(), iter_applications()))
+# the 288 (identity, application) pairs of one phase, in canonical order,
+# each with its cell id
+_GRID_CELLS = tuple(
+    (identity, app, _cell_id(identity, app))
+    for identity, app in product(enumerate_identities(), iter_applications())
+)
 # a cell still to generate: its record id, identity, application and prompt
 _Cell = tuple[str, Identity, Application, str]
 
@@ -223,6 +240,10 @@ def _value_json(value: Identity | Application) -> str:
 def _record_line(record: GenerationRecord) -> str:
     """``jsonl_line(record.to_json_dict())``, byte for byte, put together
     from the cached JSON of the record's identity and application."""
+    raw = _string(record.raw_output)
+    # the stub's translation is its output: encode that text once
+    english = record.english_text
+    english = raw if english == record.raw_output else _string(english)
     return (
         f'{{"record_id": {_string(record.record_id)}, '
         f'"language": "{record.language.value}", '
@@ -230,8 +251,8 @@ def _record_line(record: GenerationRecord) -> str:
         f'"identity": {_value_json(record.identity)}, '
         f'"application": {_value_json(record.application)}, '
         f'"prompt_text": {_string(record.prompt_text)}, '
-        f'"raw_output": {_string(record.raw_output)}, '
-        f'"english_text": {_string(record.english_text)}}}\n'
+        f'"raw_output": {raw}, '
+        f'"english_text": {english}}}\n'
     )
 
 
@@ -462,18 +483,18 @@ def _phase_cells(
     """The cells of one (language, method) phase still to generate."""
     cells = []
     counts = summary._cell(language, method)
-    for identity, app in _GRID_CELLS:
-        counts["requested"] += 1
-        rid = record_id_for(language, method, identity, app)
+    counts["requested"] += len(_GRID_CELLS)
+    head = _id_head(language, method)
+    original_head = _id_head(language, PromptMethod.ORIGINAL)
+    for identity, app, cell_id in _GRID_CELLS:
+        rid = head + cell_id
         if rid in sink:
             counts["skipped"] += 1
             continue
         if method is PromptMethod.ORIGINAL:
             prompt = render_application_prompt(identity, app, language)
         else:
-            original = sink.original(
-                record_id_for(language, PromptMethod.ORIGINAL, identity, app)
-            )
+            original = sink.original(original_head + cell_id)
             if not original:
                 # nothing to debias; render_debias_prompt would refuse it
                 counts["failed"] += 1

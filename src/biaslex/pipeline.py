@@ -352,9 +352,8 @@ def _map_languages(
         return
     workers: dict[int, BinaryIO] = {}  # pid: the read end of its pipe
     # Ctrl-C reaches the whole process group; the caller alone acts on it.
-    # Each worker is forked with SIGINT blocked and never unblocks it, so a
-    # SIGINT stays pending in a worker until it exits; the caller unblocks
-    # it once every worker is forked.
+    # Workers are forked with SIGINT blocked and never unblock it, so theirs
+    # stays pending; the caller's waits until every worker is forked.
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
         for k in range(count):

@@ -254,6 +254,16 @@ _json_text = st.text(
     identity=Identity(Religion.MUSLIM, Gender.FEMALE, MaritalStatus.SINGLE, Children.ONE_CHILD),
     app=Application(ApplicationKind.STORY),  # a story with no location: on no grid cell
 )
+@example(  # the stub's case: the translation is the output itself
+    record_id="tamil-original-x",
+    prompt_text="\\",
+    raw_output='" \x1f🙂',
+    english_text='" \x1f🙂',
+    language=Language.TAMIL,
+    method=PromptMethod.ORIGINAL,
+    identity=Identity(Religion.HINDU, Gender.MALE, MaritalStatus.MARRIED, Children.NO_CHILDREN),
+    app=Application(ApplicationKind.STORY, StoryLocation.HOSPITAL),
+)
 @settings(max_examples=100, deadline=None)
 def test_the_sink_writes_each_record_as_its_json_line(
     tmp_path_factory, record_id, prompt_text, raw_output, english_text,
