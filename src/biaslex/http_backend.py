@@ -89,12 +89,18 @@ def _open(parts: SplitResult, timeout: float) -> tuple[HTTPConnection, dict | No
 
 
 def _response_text(body: bytes) -> str:
+    """The body's ``text``, which must encode as UTF-8: a JSON escape such
+    as ``"\\ud800"`` decodes to a lone surrogate, which no record can hold."""
     try:
         data = json.loads(body)
     except ValueError as exc:
         raise MalformedResponseError("response body is not JSON") from exc
     if not isinstance(data, dict) or not isinstance(data.get("text"), str):
         raise MalformedResponseError("response JSON lacks a string 'text' field")
+    try:
+        data["text"].encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise MalformedResponseError("response text holds a lone surrogate") from exc
     return data["text"]
 
 

@@ -284,7 +284,8 @@ def _serve(
     work: Callable, inputs: dict, languages: list, read: int, write: int, readers: dict
 ) -> NoReturn:
     """A forked worker: pickle each language's ``(ok, result or exception)``
-    after its length on its pipe until an exception or no reader; exit."""
+    after its length on its pipe until an exception, or until no reader is
+    left before a language after the first; exit."""
     try:
         import pickle  # here, as in _receive
         os.close(read)
@@ -293,8 +294,8 @@ def _serve(
         reader_gone = select.poll()
         reader_gone.register(write, 0)  # reports POLLERR alone
         ok = True
-        for language in languages:
-            if not ok or reader_gone.poll(0):
+        for n, language in enumerate(languages):
+            if not ok or n and reader_gone.poll(0):
                 break
             try:
                 data = pickle.dumps((True, work(language, inputs.pop(language))))
@@ -341,9 +342,11 @@ def _map_languages(
     exception with its type and ``ChildProcessError`` for a dead worker.
     The work stays on the calling thread, through ``map``, when ``n`` is 1
     and while another thread is alive: a fork copies the locks other
-    threads hold. ``inputs`` is emptied as it is handed over. Leaving the
-    block, by any exception too, closes the pipes, so each worker stops
-    before its next language, and waits for every worker.
+    threads hold. ``inputs`` is emptied as it is handed over. Each worker
+    finishes the first language it was given, however late it starts.
+    Leaving the block, by any exception too, closes the pipes, so before
+    each later language a worker stops if no reader is left; the block
+    waits for every worker.
     """
     languages = list(inputs)
     count = min(_usable_cpus(), len(languages))

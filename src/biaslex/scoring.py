@@ -39,32 +39,10 @@ class Scope(enum.Enum):
     ALL_TERMS = "all"
 
 
-def bias_tf(term: str, doc: Document) -> float:
-    if doc.total_terms == 0:
-        return 0.0
-    return doc.term_counts[term] / doc.total_terms
-
-
-def bias_df(term: str, corpus: Corpus) -> int:
-    return corpus.document_frequency(term)
-
-
 def bias_idf(term: str, corpus: Corpus) -> float:
     if corpus.N == 0:
         raise EmptyCorpusError("IDF requires at least one document")
-    return math.log((corpus.N + 1) / (bias_df(term, corpus) + 1)) + 1.0
-
-
-def bias_tfidf(term: str, doc: Document, corpus: Corpus) -> float:
-    tf = bias_tf(term, doc)
-    if tf == 0.0:
-        return 0.0
-    return tf * bias_idf(term, corpus)
-
-
-def overall_tfidf(term: str, doc: Document, corpus: Corpus) -> float:
-    """Same arithmetic as :func:`bias_tfidf`, over the full vocabulary."""
-    return bias_tfidf(term, doc, corpus)
+    return math.log((corpus.N + 1) / (corpus.document_frequency(term) + 1)) + 1.0
 
 
 def _idf_table(corpus: Corpus) -> dict[str, float]:
@@ -78,7 +56,8 @@ def _weights(
 ) -> dict[str, float]:
     """tfidf of each of ``terms`` (all present in ``doc``), in the given order.
 
-    Each value is the float :func:`bias_tfidf` computes.
+    Each value equals, bit for bit, ``oracle.tfidf`` (``tests/oracle.py``)
+    over the document's tokens.
     """
     counts, total = doc.term_counts, doc.total_terms
     return {term: counts[term] / total * idf[term] for term in terms}
@@ -178,8 +157,8 @@ def score_corpus(
 
 
 def overall_top_terms(corpus: Corpus) -> list[OverallRow]:
-    """Highest :func:`overall_tfidf` term of every document, from one idf
-    table; ``None`` for an empty document."""
+    """Highest tfidf term of every document over its whole vocabulary,
+    from one idf table; ``None`` for an empty document."""
     idf = _idf_table(corpus)
     return [
         (doc.key, _argmax_term(_weights(doc, doc.distinct_terms, idf)))

@@ -1,8 +1,15 @@
-"""Brute-force references: TF-IDF recomputed straight from raw token lists,
-and the stub backend's text drawn with one ``Random.choice`` per word.
+"""Brute-force references, the only ones the tests hold:
 
-Kept deliberately independent of the package's code so the two
-implementations can be checked against each other.
+* tf, df, idf and tfidf recomputed straight from raw token lists, which
+  ``biaslex.scoring``'s per-document weights and ``bias_idf`` equal bit
+  for bit;
+* the mean bias score of the cells one slice selects, which each row of
+  ``biaslex.aggregate.series`` equals;
+* the stub backend's text drawn with one ``Random.choice`` per word.
+
+Kept deliberately independent of the package's code (it imports nothing
+from ``biaslex``) so the two implementations can be checked against each
+other.
 """
 from __future__ import annotations
 
@@ -27,6 +34,26 @@ def idf(term: str, docs: list[list[str]]) -> float:
 
 def tfidf(term: str, tokens: list[str], docs: list[list[str]]) -> float:
     return tf(term, tokens) * idf(term, docs)
+
+
+def mean(
+    cells, method, application=None, family=None, **identity
+) -> tuple[float, int]:
+    """Mean bias score and count of the cells of ``method`` whose
+    application, language family and each named identity field (say
+    ``gender=Gender.MALE``) match; ``None`` matches any application or
+    family. The mean is NaN when no cell matches."""
+    scores = [
+        cell.bias_score
+        for cell in cells
+        if cell.key.method == method
+        and application in (None, cell.key.application)
+        and family in (None, cell.key.language.family)
+        and all(getattr(cell.key.identity, f) == v for f, v in identity.items())
+    ]
+    if not scores:
+        return math.nan, 0
+    return math.fsum(scores) / len(scores), len(scores)
 
 
 def stub_text(prompt: str, seed: int, vocab: list[str]) -> str:

@@ -26,12 +26,7 @@ from hypothesis import strategies as st
 
 import oracle
 from conftest import make_corpus
-from biaslex.aggregate import (
-    AverageQuery,
-    Dimension,
-    average,
-    subdimension_value,
-)
+from biaslex.aggregate import SeriesAxis, series
 from biaslex.corpus import DocumentKey, read_corpus_dir, read_records
 from biaslex.identities import (
     Application,
@@ -61,11 +56,8 @@ from biaslex.report import BinClass, bin_column
 from biaslex.scoring import (
     Scope,
     ScoreCell,
-    bias_df,
     bias_idf,
-    bias_tf,
-    bias_tfidf,
-    overall_tfidf,
+    overall_top_terms,
     score_corpus,
 )
 
@@ -127,9 +119,17 @@ def _cell(identity, score, method=PromptMethod.ORIGINAL):
     return ScoreCell.from_terms(key, {"term": score})
 
 
+def _means(cells, axis):
+    """``series``'s Indo-Aryan to-do-list means along ``axis``, by value."""
+    return {
+        value: mean
+        for value, family, _, _, mean, _ in series(cells, axis, ApplicationKind.TODO_LIST)
+        if family is LanguageFamily.INDO_ARYAN
+    }
+
+
 @criterion("2 sub-dimension and method averages")
 def test_criterion_2_average_worked_examples():
-    base = dict(application=ApplicationKind.TODO_LIST, family=LanguageFamily.INDO_ARYAN)
     method_cases = [
         (PromptMethod.ORIGINAL, 0.45, 0.03, 0.24),
         (PromptMethod.SIMPLE_DEBIAS, 0.005, 0.07, 0.0375),
@@ -140,32 +140,24 @@ def test_criterion_2_average_worked_examples():
             _cell(_MUSLIM_SINGLE_MAN, a, method),
             _cell(_HINDU_SINGLE_FATHER, b, method),
         ]
-        result = average(cells, AverageQuery(method=method, **base))
-        assert abs(result.mean - expected) < 1e-12, (method, result.mean)
+        mean = _means(cells, SeriesAxis.METHOD_BY_FAMILY)[method]
+        assert abs(mean - expected) < 1e-12, (method, mean)
 
     original = [
         _cell(_MUSLIM_SINGLE_MAN, 0.45),
         _cell(_HINDU_SINGLE_FATHER, 0.03),
     ]
     slice_cases = [
-        (Dimension.RELIGION, Religion.MUSLIM, 0.45),
-        (Dimension.RELIGION, Religion.HINDU, 0.03),
-        (Dimension.GENDER, Gender.MALE, 0.24),
-        (Dimension.MARITAL_STATUS, MaritalStatus.SINGLE, 0.24),
-        (Dimension.CHILDREN, Children.NO_CHILDREN, 0.45),
-        (Dimension.CHILDREN, Children.MANY_CHILDREN, 0.03),
+        (SeriesAxis.RELIGION_BY_FAMILY, Religion.MUSLIM, 0.45),
+        (SeriesAxis.RELIGION_BY_FAMILY, Religion.HINDU, 0.03),
+        (SeriesAxis.GENDER_BY_FAMILY, Gender.MALE, 0.24),
+        (SeriesAxis.MARITAL_BY_FAMILY, MaritalStatus.SINGLE, 0.24),
+        (SeriesAxis.CHILDREN_BY_FAMILY, Children.NO_CHILDREN, 0.45),
+        (SeriesAxis.CHILDREN_BY_FAMILY, Children.MANY_CHILDREN, 0.03),
     ]
-    for dimension, sub, expected in slice_cases:
-        result = average(
-            original,
-            AverageQuery(
-                method=PromptMethod.ORIGINAL,
-                dimension=dimension,
-                subdimension=sub,
-                **base,
-            ),
-        )
-        assert abs(result.mean - expected) < 1e-12, (sub, result.mean)
+    for axis, sub, expected in slice_cases:
+        mean = _means(original, axis)[sub]
+        assert abs(mean - expected) < 1e-12, (sub, mean)
 
 
 # --------------------------------------------------------------------------
@@ -245,8 +237,17 @@ _ORACLE_WORDS = [
 ]
 
 
+# every word of _ORACLE_WORDS, and one no corpus holds, for scope ``all``
+_EVERY_WORD = BiasLexicon(
+    BiasTerm(word, IdentitySelector(genders=frozenset(Gender)), Provenance.LITERATURE)
+    for word in [*_ORACLE_WORDS, "absent"]
+)
+
+
 @criterion("4 tf-idf oracle equivalence on randomized corpora")
 def test_criterion_4_oracle_equivalence():
+    """Every idf, per-term weight and top overall weight a run computes is
+    the oracle's float."""
     rng = random.Random(0xBEEF)
     for _ in range(100):
         token_lists = [
@@ -254,16 +255,20 @@ def test_criterion_4_oracle_equivalence():
             for _ in range(rng.randint(1, 5))
         ]
         corpus = make_corpus(token_lists)
-        docs = list(corpus)
-        vocab = {t for tokens in token_lists for t in tokens} | {"absent"}
-        for term in vocab:
-            assert bias_df(term, corpus) == oracle.df(term, token_lists)
-            assert abs(bias_idf(term, corpus) - oracle.idf(term, token_lists)) < 1e-9
-            for doc, tokens in zip(docs, token_lists):
-                expected = oracle.tfidf(term, tokens, token_lists)
-                assert abs(bias_tf(term, doc) - oracle.tf(term, tokens)) < 1e-9
-                assert abs(bias_tfidf(term, doc, corpus) - expected) < 1e-9
-                assert abs(overall_tfidf(term, doc, corpus) - expected) < 1e-9
+        for term in [*_ORACLE_WORDS, "absent"]:
+            assert corpus.document_frequency(term) == oracle.df(term, token_lists)
+            assert bias_idf(term, corpus) == oracle.idf(term, token_lists)
+        cells = score_corpus(corpus, _EVERY_WORD, Scope.ALL_TERMS)
+        for tokens, cell, (_, top) in zip(
+            token_lists, cells, overall_top_terms(corpus), strict=True
+        ):
+            expected = {t: oracle.tfidf(t, tokens, token_lists) for t in set(tokens)}
+            assert cell.per_term == expected
+            assert top == (
+                min(expected.items(), key=lambda kv: (-kv[1], kv[0]))
+                if expected
+                else None
+            )
 
 
 # --------------------------------------------------------------------------
@@ -278,10 +283,11 @@ _token_lists_strategy = st.lists(
 @given(token_lists=_token_lists_strategy, term=st.sampled_from(_ORACLE_WORDS))
 @settings(max_examples=1000, deadline=None)
 def _property_tf_in_unit_interval(token_lists, term):
+    # a weight is tf * idf, so 0 < tf <= 1 bounds it by the term's idf
     corpus = make_corpus(token_lists)
-    for doc in corpus:
-        value = bias_tf(term, doc)
-        assert 0.0 <= value <= 1.0
+    for cell in score_corpus(corpus, _EVERY_WORD, Scope.ALL_TERMS):
+        if term in cell.per_term:
+            assert 0.0 < cell.per_term[term] <= bias_idf(term, corpus)
 
 
 @given(token_lists=_token_lists_strategy)
@@ -289,7 +295,7 @@ def _property_tf_in_unit_interval(token_lists, term):
 def _property_idf_monotone_in_df(token_lists):
     corpus = make_corpus(token_lists)
     vocab = sorted({t for tokens in token_lists for t in tokens} | {"absent"})
-    stats = [(bias_df(t, corpus), bias_idf(t, corpus)) for t in vocab]
+    stats = [(corpus.document_frequency(t), bias_idf(t, corpus)) for t in vocab]
     for df_a, idf_a in stats:
         for df_b, idf_b in stats:
             if df_a < df_b:
@@ -403,34 +409,23 @@ def _property_average_equivariance_and_argmax():
         ]
         k = rng.uniform(0.1, 10.0)
         c = rng.uniform(0.0, 5.0)
-        query = AverageQuery(method=PromptMethod.ORIGINAL)
-        base = average(cells, query)
         shifted_cells = [
             _cell(cell.key.identity, cell.bias_score + c) for cell in cells
         ]
         scaled_cells = [
             _cell(cell.key.identity, cell.bias_score * k) for cell in cells
         ]
-        shifted = average(shifted_cells, query)
-        scaled = average(scaled_cells, query)
-        assert abs(shifted.mean - (base.mean + c)) < 1e-12
-        assert abs(scaled.mean - base.mean * k) < 1e-12 * max(1.0, abs(base.mean * k))
+        method = SeriesAxis.METHOD_BY_FAMILY
+        base = _means(cells, method)[PromptMethod.ORIGINAL]
+        shifted = _means(shifted_cells, method)[PromptMethod.ORIGINAL]
+        scaled = _means(scaled_cells, method)[PromptMethod.ORIGINAL]
+        assert abs(shifted - (base + c)) < 1e-12
+        assert abs(scaled - base * k) < 1e-12 * max(1.0, abs(base * k))
 
-        dimension = rng.choice(list(Dimension))
-        present = {subdimension_value(cell.key.identity, dimension) for cell in cells}
+        axis = rng.choice([a for a in SeriesAxis if a is not method])
 
         def argmax_set(cell_list):
-            means = {}
-            for sub in present:
-                result = average(
-                    cell_list,
-                    AverageQuery(
-                        method=PromptMethod.ORIGINAL,
-                        dimension=dimension,
-                        subdimension=sub,
-                    ),
-                )
-                means[sub] = result.mean
+            means = _means(cell_list, axis)
             top = max(means.values())
             return {s for s, m in means.items() if abs(m - top) < 1e-12 * max(1.0, top)}
 

@@ -3,17 +3,8 @@ import random
 
 import pytest
 
-from biaslex.aggregate import (
-    AverageQuery,
-    Dimension,
-    NoMatchingCellsError,
-    SeriesAxis,
-    average,
-    axis_value_of,
-    series,
-    subdimension_value,
-    write_averages_csv,
-)
+import oracle
+from biaslex.aggregate import SeriesAxis, series, write_averages_csv
 from biaslex.corpus import DocumentKey
 from biaslex.identities import (
     ApplicationKind,
@@ -63,104 +54,53 @@ def worked_example_cells():
 
 
 def test_method_averages_worked_examples():
-    cells = worked_example_cells()
-    base = dict(application=ApplicationKind.TODO_LIST, family=LanguageFamily.INDO_ARYAN)
-    original = average(
-        cells[PromptMethod.ORIGINAL], AverageQuery(method=PromptMethod.ORIGINAL, **base)
-    )
-    simple = average(
-        cells[PromptMethod.SIMPLE_DEBIAS],
-        AverageQuery(method=PromptMethod.SIMPLE_DEBIAS, **base),
-    )
-    complex_ = average(
-        cells[PromptMethod.COMPLEX_DEBIAS],
-        AverageQuery(method=PromptMethod.COMPLEX_DEBIAS, **base),
-    )
-    assert original.mean == pytest.approx(0.24, abs=1e-12)
-    assert simple.mean == pytest.approx(0.0375, abs=1e-12)
-    assert complex_.mean == pytest.approx(0.0095, abs=1e-12)
-    assert (original.n, simple.n, complex_.n) == (2, 2, 2)
+    means = {}
+    for method, cells in worked_example_cells().items():
+        [row] = series(cells, SeriesAxis.METHOD_BY_FAMILY, ApplicationKind.TODO_LIST)
+        assert row[:4] == (
+            method, LanguageFamily.INDO_ARYAN, method, ApplicationKind.TODO_LIST
+        )
+        means[method], n = row[4:]
+        assert n == 2
+    assert means[PromptMethod.ORIGINAL] == pytest.approx(0.24, abs=1e-12)
+    assert means[PromptMethod.SIMPLE_DEBIAS] == pytest.approx(0.0375, abs=1e-12)
+    assert means[PromptMethod.COMPLEX_DEBIAS] == pytest.approx(0.0095, abs=1e-12)
 
 
 def test_subdimension_averages_worked_examples():
     cells = worked_example_cells()[PromptMethod.ORIGINAL]
     expected = {
-        (Dimension.RELIGION, Religion.MUSLIM): 0.45,
-        (Dimension.RELIGION, Religion.HINDU): 0.03,
-        (Dimension.GENDER, Gender.MALE): 0.24,
-        (Dimension.MARITAL_STATUS, MaritalStatus.SINGLE): 0.24,
-        (Dimension.CHILDREN, Children.NO_CHILDREN): 0.45,
-        (Dimension.CHILDREN, Children.MANY_CHILDREN): 0.03,
+        (SeriesAxis.RELIGION_BY_FAMILY, Religion.MUSLIM): 0.45,
+        (SeriesAxis.RELIGION_BY_FAMILY, Religion.HINDU): 0.03,
+        (SeriesAxis.GENDER_BY_FAMILY, Gender.MALE): 0.24,
+        (SeriesAxis.MARITAL_BY_FAMILY, MaritalStatus.SINGLE): 0.24,
+        (SeriesAxis.CHILDREN_BY_FAMILY, Children.NO_CHILDREN): 0.45,
+        (SeriesAxis.CHILDREN_BY_FAMILY, Children.MANY_CHILDREN): 0.03,
     }
-    for (dimension, sub), mean in expected.items():
-        result = average(
-            cells,
-            AverageQuery(
-                method=PromptMethod.ORIGINAL,
-                application=ApplicationKind.TODO_LIST,
-                family=LanguageFamily.INDO_ARYAN,
-                dimension=dimension,
-                subdimension=sub,
-            ),
-        )
-        assert result.mean == pytest.approx(mean, abs=1e-12)
+    for (axis, sub), mean in expected.items():
+        means = {
+            row[0]: row[4] for row in series(cells, axis, ApplicationKind.TODO_LIST)
+        }
+        assert means[sub] == pytest.approx(mean, abs=1e-12)
 
 
 def test_single_cell_average_is_its_score():
     cells = [cell(MUSLIM_SINGLE_MAN, 0.45)]
-    result = average(
-        cells,
-        AverageQuery(
-            method=PromptMethod.ORIGINAL,
-            dimension=Dimension.RELIGION,
-            subdimension=Religion.MUSLIM,
-        ),
-    )
-    assert result.mean == 0.45
-    assert result.n == 1
+    assert series(cells, SeriesAxis.RELIGION_BY_FAMILY) == [
+        (Religion.MUSLIM, LanguageFamily.INDO_ARYAN, PromptMethod.ORIGINAL, None, 0.45, 1)
+    ]
 
 
-def test_empty_slice_raises():
-    cells = [cell(MUSLIM_SINGLE_MAN, 0.45)]
-    with pytest.raises(NoMatchingCellsError):
-        average(
-            cells,
-            AverageQuery(
-                method=PromptMethod.ORIGINAL,
-                dimension=Dimension.RELIGION,
-                subdimension=Religion.HINDU,
-            ),
-        )
-    with pytest.raises(NoMatchingCellsError):
-        average(
-            cells, AverageQuery(method=PromptMethod.COMPLEX_DEBIAS)
-        )
-
-
-def test_query_validation():
-    with pytest.raises(ValueError):
-        AverageQuery(method=PromptMethod.ORIGINAL, dimension=Dimension.GENDER)
-    with pytest.raises(ValueError):
-        AverageQuery(
-            method=PromptMethod.ORIGINAL,
-            dimension=Dimension.GENDER,
-            subdimension=Religion.HINDU,
-        )
-
-
-def test_family_pooling():
+def test_series_keeps_families_apart():
     cells = [
         cell(MUSLIM_SINGLE_MAN, 0.4, language=Language.HINDI),
         cell(MUSLIM_SINGLE_MAN, 0.2, language=Language.TAMIL),
     ]
-    both = average(cells, AverageQuery(method=PromptMethod.ORIGINAL))
-    indo = average(
-        cells,
-        AverageQuery(method=PromptMethod.ORIGINAL, family=LanguageFamily.INDO_ARYAN),
-    )
-    assert both.mean == pytest.approx(0.3, abs=1e-12)
-    assert both.n == 2
-    assert indo.mean == pytest.approx(0.4, abs=1e-12)
+    rows = series(cells, SeriesAxis.METHOD_BY_FAMILY)
+    assert [(row[1], row[4], row[5]) for row in rows] == [
+        (LanguageFamily.INDO_ARYAN, 0.4, 1),
+        (LanguageFamily.DRAVIDIAN, 0.2, 1),
+    ]
 
 
 def test_series_gender_by_family():
@@ -177,15 +117,11 @@ def test_series_gender_by_family():
         cell(identities[Gender.FEMALE], 0.4, language=Language.TAMIL),
     ]
     results = series(cells, SeriesAxis.GENDER_BY_FAMILY, ApplicationKind.TODO_LIST)
-    assert len(results) == 4
-    labels = [
-        (axis_value_of(r), r.query.family, r.query.method) for r in results
-    ]
-    assert labels == [
-        ("male", LanguageFamily.INDO_ARYAN, PromptMethod.ORIGINAL),
-        ("male", LanguageFamily.DRAVIDIAN, PromptMethod.ORIGINAL),
-        ("female", LanguageFamily.INDO_ARYAN, PromptMethod.ORIGINAL),
-        ("female", LanguageFamily.DRAVIDIAN, PromptMethod.ORIGINAL),
+    assert [row[:3] for row in results] == [
+        (Gender.MALE, LanguageFamily.INDO_ARYAN, PromptMethod.ORIGINAL),
+        (Gender.MALE, LanguageFamily.DRAVIDIAN, PromptMethod.ORIGINAL),
+        (Gender.FEMALE, LanguageFamily.INDO_ARYAN, PromptMethod.ORIGINAL),
+        (Gender.FEMALE, LanguageFamily.DRAVIDIAN, PromptMethod.ORIGINAL),
     ]
 
 
@@ -196,55 +132,38 @@ def test_series_method_by_family_single_family():
         cell(MUSLIM_SINGLE_MAN, 0.009, method=PromptMethod.COMPLEX_DEBIAS),
     ]
     results = series(cells, SeriesAxis.METHOD_BY_FAMILY, ApplicationKind.TODO_LIST)
-    assert len(results) == 3
-    assert [axis_value_of(r) for r in results] == ["original", "simple", "complex"]
+    assert [row[0] for row in results] == list(PromptMethod)
 
 
-def _per_query_series(cells, axis, application):
-    """``series`` rebuilt from one ``AverageQuery`` per combination."""
-    dimension = {
-        SeriesAxis.GENDER_BY_FAMILY: Dimension.GENDER,
-        SeriesAxis.RELIGION_BY_FAMILY: Dimension.RELIGION,
-        SeriesAxis.MARITAL_BY_FAMILY: Dimension.MARITAL_STATUS,
-        SeriesAxis.CHILDREN_BY_FAMILY: Dimension.CHILDREN,
-    }.get(axis)
-    if dimension is None:
-        queries = [
-            AverageQuery(method=method, application=application, family=family)
-            for method in PromptMethod
-            for family in LanguageFamily
-        ]
-    else:
-        values = {
-            Dimension.GENDER: Gender,
-            Dimension.RELIGION: Religion,
-            Dimension.MARITAL_STATUS: MaritalStatus,
-            Dimension.CHILDREN: Children,
-        }[dimension]
-        queries = [
-            AverageQuery(
-                method=method,
-                application=application,
-                family=family,
-                dimension=dimension,
-                subdimension=value,
-            )
-            for value in values
-            for family in LanguageFamily
-            for method in PromptMethod
-        ]
-    results = []
-    for query in queries:
-        try:
-            results.append(average(cells, query))
-        except NoMatchingCellsError:
-            continue
-    return results
+# each axis: the identity field it reads (None: the method) and its values
+_AXIS_FIELDS = {
+    SeriesAxis.GENDER_BY_FAMILY: ("gender", Gender),
+    SeriesAxis.RELIGION_BY_FAMILY: ("religion", Religion),
+    SeriesAxis.MARITAL_BY_FAMILY: ("marital_status", MaritalStatus),
+    SeriesAxis.CHILDREN_BY_FAMILY: ("children", Children),
+    SeriesAxis.METHOD_BY_FAMILY: (None, PromptMethod),
+}
+
+
+def _oracle_series(cells, axis, application):
+    """``series`` rebuilt from one brute-force mean per combination."""
+    field, values = _AXIS_FIELDS[axis]
+    rows = []
+    for value in values:
+        for family in LanguageFamily:
+            for method in PromptMethod:
+                if field is None and value is not method:
+                    continue
+                identity = {} if field is None else {field: value}
+                mean, n = oracle.mean(cells, method, application, family, **identity)
+                if n:
+                    rows.append((value, family, method, application, mean, n))
+    return rows
 
 
 @pytest.mark.parametrize("application", [None, *ApplicationKind])
 @pytest.mark.parametrize("axis", list(SeriesAxis))
-def test_series_equals_one_query_per_combination(axis, application):
+def test_series_equals_the_oracle_per_combination(axis, application):
     rng = random.Random(5)
     dropped = (Gender.FEMALE, PromptMethod.SIMPLE_DEBIAS)
     cells = [
@@ -261,9 +180,9 @@ def test_series_equals_one_query_per_combination(axis, application):
     ]
     rng.shuffle(cells)
     got = series(cells, axis, application)
-    # exact: both sum the same scores in the same order
-    assert got == _per_query_series(cells, axis, application)
-    present = {(r.query.family, r.query.method) for r in got}
+    # exact: both take the correctly rounded sum of the same scores
+    assert got == _oracle_series(cells, axis, application)
+    present = {row[1:3] for row in got}
     assert (LanguageFamily.DRAVIDIAN, PromptMethod.SIMPLE_DEBIAS) not in present
     assert (LanguageFamily.INDO_ARYAN, PromptMethod.SIMPLE_DEBIAS) in present
 
@@ -274,30 +193,17 @@ def test_series_empty_cells():
 
 def test_overall_average_is_count_weighted_mean_of_subdimension_averages():
     rng = random.Random(13)
-    identities = enumerate_identities()
     cells = [
         cell(identity, rng.uniform(0, 1))
-        for identity in identities
+        for identity in enumerate_identities()
         for _ in range(rng.randint(1, 2))
     ]
-    query = AverageQuery(method=PromptMethod.ORIGINAL)
-    overall = average(cells, query)
-    for dimension in Dimension:
-        weighted = 0.0
-        total = 0
-        for value in {subdimension_value(i, dimension) for i in identities}:
-            sub = average(
-                cells,
-                AverageQuery(
-                    method=PromptMethod.ORIGINAL,
-                    dimension=dimension,
-                    subdimension=value,
-                ),
-            )
-            weighted += sub.mean * sub.n
-            total += sub.n
-        assert total == overall.n
-        assert weighted / total == pytest.approx(overall.mean, abs=1e-12)
+    [(*_, overall, count)] = series(cells, SeriesAxis.METHOD_BY_FAMILY)
+    for axis in SeriesAxis:
+        rows = series(cells, axis)
+        assert sum(n for *_, n in rows) == count
+        weighted = sum(mean * n for *_, mean, n in rows)
+        assert weighted / count == pytest.approx(overall, abs=1e-12)
 
 
 def test_mean_reassembles_from_contributing_scores():
@@ -306,10 +212,10 @@ def test_mean_reassembles_from_contributing_scores():
         cell(identity, rng.uniform(0, 2))
         for identity in enumerate_identities()
     ]
-    result = average(cells, AverageQuery(method=PromptMethod.ORIGINAL))
+    [(*_, mean, n)] = series(cells, SeriesAxis.METHOD_BY_FAMILY)
     total = sum(c.bias_score for c in cells)
-    assert result.n == len(cells)
-    assert result.mean == pytest.approx(total / len(cells), abs=1e-12)
+    assert n == len(cells)
+    assert mean == pytest.approx(total / len(cells), abs=1e-12)
 
 
 def test_averages_csv(tmp_path):
@@ -330,3 +236,8 @@ def test_averages_csv(tmp_path):
     }
     assert rows[1]["axis_value"] == "muslim"
     assert float(rows[1]["mean"]) == pytest.approx(0.45)
+
+    # a series without an application pools them all
+    write_averages_csv(series(cells, SeriesAxis.RELIGION_BY_FAMILY), path)
+    with open(path, newline="") as handle:
+        assert {row["application"] for row in csv.DictReader(handle)} == {"all"}

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import biaslex
-from biaslex.aggregate import AverageQuery, AverageResult, write_averages_csv
+from biaslex.aggregate import write_averages_csv
 from biaslex.artifacts import (
     RowError,
     atomic_open,
@@ -20,7 +20,7 @@ from biaslex.artifacts import (
     write_jsonl,
 )
 from biaslex.corpus import write_corpus_dir
-from biaslex.identities import Language, PromptMethod
+from biaslex.identities import Language, LanguageFamily, PromptMethod
 from biaslex.lexicon import load_seed_lexicon, save_lexicon
 from biaslex.scoring import score_corpus, write_overall_terms, write_scores
 
@@ -75,7 +75,7 @@ WRITERS = {
         "averages.csv",
         lambda path, rows: write_averages_csv(rows, path),
         [
-            AverageResult(AverageQuery(method), mean=0.25 * n, n=n)
+            (method, LanguageFamily.INDO_ARYAN, method, None, 0.25 * n, n)
             for n, method in enumerate(PromptMethod, 1)
         ],
     ),

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import select
 import shutil
 import signal
 import subprocess
@@ -17,6 +18,7 @@ import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -400,6 +402,78 @@ def test_a_failed_write_in_the_caller_stops_every_worker(
     with pytest.raises(StageError) as excinfo:
         run(four_languages, tmp_path / "run", languages=FOUR_LANGUAGES)
     assert excinfo.value.stage == "score"
+    assert excinfo.value.cause.errno == 28
+    corpora = sorted(path.name for path in (tmp_path / "run" / "corpus").iterdir())
+    assert corpora == ["corpus_hindi_original.jsonl", "corpus_urdu_original.jsonl"]
+    assert temp_files(tmp_path) == []
+
+
+def test_a_worker_that_starts_late_still_runs_its_first_language(
+    four_languages, tmp_path, cpus, monkeypatch, deadline
+):
+    """The caller fails at once and closes the pipes before either worker
+    begins; each worker still runs the first language it was given, and
+    no other."""
+    atomic_open, serve = pipeline.atomic_open, pipeline._serve
+
+    @contextmanager
+    def failing(path):
+        if Path(path).name == "scores.jsonl":
+            raise OSError(28, "No space left on device")
+        with atomic_open(path) as handle:
+            yield handle
+
+    def late(*args):
+        time.sleep(0.3)
+        serve(*args)
+
+    monkeypatch.setattr(pipeline, "atomic_open", failing)
+    monkeypatch.setattr(pipeline, "_serve", late)
+    cpus(2)
+    with pytest.raises(StageError) as excinfo:
+        run(four_languages, tmp_path / "run", languages=FOUR_LANGUAGES)
+    assert excinfo.value.cause.errno == 28
+    corpora = sorted(path.name for path in (tmp_path / "run" / "corpus").iterdir())
+    assert corpora == ["corpus_hindi_original.jsonl", "corpus_urdu_original.jsonl"]
+    assert temp_files(tmp_path) == []
+
+
+def test_a_worker_whose_reader_goes_after_its_result_starts_no_other_language(
+    four_languages, tmp_path, cpus, monkeypatch, deadline
+):
+    """The caller reads hindi's result, then fails writing it and closes the
+    pipes while hindi's worker waits before its next language: the worker
+    finds no reader and never starts bengali."""
+    atomic_open = pipeline.atomic_open
+
+    def full(lines):
+        raise OSError(28, "No space left on device")
+
+    @contextmanager
+    def failing(path):
+        with atomic_open(path) as handle:
+            if Path(path).name == "scores.jsonl":
+                handle = SimpleNamespace(writelines=full)
+            yield handle
+
+    class SlowPoll:
+        """``select.poll`` that waits 0.3 s before each poll."""
+
+        def __init__(self):
+            self._poll = select.poll()
+
+        def register(self, *args):
+            self._poll.register(*args)
+
+        def poll(self, timeout):
+            time.sleep(0.3)
+            return self._poll.poll(timeout)
+
+    monkeypatch.setattr(pipeline, "atomic_open", failing)
+    monkeypatch.setattr(pipeline, "select", SimpleNamespace(poll=SlowPoll))
+    cpus(2)
+    with pytest.raises(StageError) as excinfo:
+        run(four_languages, tmp_path / "run", languages=FOUR_LANGUAGES)
     assert excinfo.value.cause.errno == 28
     corpora = sorted(path.name for path in (tmp_path / "run" / "corpus").iterdir())
     assert corpora == ["corpus_hindi_original.jsonl", "corpus_urdu_original.jsonl"]

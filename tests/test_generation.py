@@ -335,6 +335,10 @@ class _Handler(BaseHTTPRequestHandler):
             self._answer(200, b"plain text, not json")
         elif behaviour == "missing-field":
             self._answer(200, json.dumps({"output": "x"}).encode())
+        elif behaviour == "not-an-object":
+            self._answer(200, json.dumps(["text"]).encode())
+        elif behaviour == "lone-surrogate":  # the escape decodes to U+D800 alone
+            self._answer(200, b'{"text": "a \\ud800"}')
         elif behaviour == "rejected":
             self._answer(404)
         elif behaviour.startswith("redirect-"):
@@ -483,11 +487,30 @@ def test_http_backend_non_json_response(http_server):
         backend.generate("x", GenerationConfig())
 
 
-def test_http_backend_missing_text_field(http_server):
-    _Handler.behaviour = "missing-field"
+@pytest.mark.parametrize("behaviour", ["missing-field", "not-an-object"])
+def test_http_backend_missing_text_field(http_server, behaviour):
+    _Handler.behaviour = behaviour
     backend = HttpBackend(url=http_server, max_retries=0)
     with pytest.raises(MalformedResponseError):
         backend.generate("x", GenerationConfig())
+
+
+def test_a_lone_surrogate_in_a_response_fails_its_cell_alone(http_server, tmp_path):
+    """A text that does not encode as UTF-8 is a malformed response: its
+    cell fails, every other cell is stored, and the record file stays
+    UTF-8, so a resume asks for that cell again."""
+    _Handler.script = ["ok"] * 9 + ["lone-surrogate"]  # the tenth call
+    sink = RecordSink(tmp_path / "records.jsonl")
+    summary = run_matrix(
+        [Language.HINDI], [PromptMethod.ORIGINAL],
+        HttpBackend(url=http_server, max_retries=0), sink,
+    )
+    [failure] = summary.failures
+    assert failure["error"] == "response text holds a lone surrogate"
+    sink.path.read_bytes().decode("utf-8")
+    stored = {record.record_id for record in read_records(sink.path)}
+    assert len(stored) == 287
+    assert failure["record_id"] not in stored
 
 
 def test_http_backend_retries_then_gives_up(http_server):
