@@ -261,10 +261,15 @@ class RecordSink:
 
     Opening an existing file indexes its records. A last line with no
     newline that does not parse was cut short by a crash mid-write: it is
-    truncated away (``dropped_tail`` notes where), so its cell is generated
+    not indexed (``dropped_tail`` notes where), so its cell is generated
     again. Any other line that does not parse raises
     :class:`~biaslex.artifacts.RowError`. The file stays open for appending
     until :meth:`close`; every line is flushed as it is written.
+
+    Opening changes no byte of the file, so a run refused after it leaves
+    the file as it was. The first :meth:`append` or :meth:`close` mends a
+    last line with no newline first: one cut short is truncated away, and
+    a complete one is ended.
 
     ``records`` holds every record of the file, in file order: those read
     when it was opened, then those appended. So the file is parsed once per
@@ -280,6 +285,8 @@ class RecordSink:
         self._original_languages: set[Language] = set()
         self._handle = None
         self.dropped_tail: dict[str, int] | None = None
+        # (bytes kept, bytes then written) that mend an unended last line
+        self._mend: tuple[int, bytes] | None = None
         if self.path.exists():
             self._load()
 
@@ -301,14 +308,21 @@ class RecordSink:
         try:
             record = parse_row(line, parse, path, number)
         except RowError:
-            with open(path, "r+b") as handle:
-                handle.truncate(complete)
+            self._mend = (complete, b"")
             self.dropped_tail = {"line": number, "bytes": len(line)}
         else:
             # complete but unterminated: end it so the next append starts afresh
-            with open(path, "ab") as handle:
-                handle.write(b"\n")
+            self._mend = (complete + len(line), b"\n")
             self._index(record)
+
+    def _mend_tail(self) -> None:
+        if self._mend is not None:
+            keep, end = self._mend
+            self._mend = None
+            with open(self.path, "r+b") as handle:
+                handle.truncate(keep)
+                handle.seek(keep)
+                handle.write(end)
 
     def _index(self, record: GenerationRecord) -> None:
         self.records.append(record)
@@ -329,6 +343,7 @@ class RecordSink:
 
     def append(self, record: GenerationRecord) -> None:
         if self._handle is None:
+            self._mend_tail()
             self._handle = open(self.path, "a", encoding="utf-8")
         self._handle.write(_record_line(record))
         self._handle.flush()
@@ -336,6 +351,7 @@ class RecordSink:
 
     def close(self) -> None:
         """Release the file handle; a later :meth:`append` reopens it."""
+        self._mend_tail()
         if self._handle is not None:
             self._handle.close()
             self._handle = None

@@ -20,7 +20,6 @@ import time
 import unicodedata
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -547,6 +547,10 @@ _LOCAL_HTTP = {"kind": "http", "url": "http://127.0.0.1:9"}
         ({"generation": {"temperatur": 0.7}}, "unknown generation keys: temperatur"),
         ({"translation": {"beams": 3}}, "unknown translation keys: beams"),
         ({"backend": {**_LOCAL_HTTP, "retries": 1}}, "unknown backend keys: retries"),
+        (
+            {"backend": {**_LOCAL_HTTP, "url": "http://127.0.0.1:9/gen erate"}},
+            "url's path or query holds whitespace",
+        ),
     ],
     ids=[
         "http-without-url",
@@ -580,6 +584,7 @@ _LOCAL_HTTP = {"kind": "http", "url": "http://127.0.0.1:9"}
         "unknown-generation-key",
         "unknown-translation-key",
         "unknown-backend-key",
+        "url-with-a-space",
     ],
 )
 def test_pipeline_refuses_a_malformed_config_before_running(

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from biaslex.artifacts import write_jsonl
 from biaslex.corpus import (
-    CleaningSummary,
-    Corpus,
     DocumentKey,
     GenerationRecord,
     build_corpus,

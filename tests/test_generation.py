@@ -1,4 +1,5 @@
 import base64
+import gc
 import json
 import os
 import random
@@ -103,6 +104,11 @@ def test_translation_config_rejects_invalid():
         {"url": None},
         {"url": "localhost:9/generate"},
         {"url": "http://x", "translate_url": "x"},
+        {"url": "http://x/gen erate"},
+        {"url": "http://x", "translate_url": "http://x/t?q=\x01"},
+        {"url": "http://x/\u00e9"},
+        {"url": "http://x:99999/generate"},
+        {"url": "ftp://x/generate"},
     ],
 )
 def test_http_backend_rejects_invalid(kwargs):
@@ -312,7 +318,13 @@ class _Handler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length))
-        type(self).seen.append({"body": body, "auth": self.headers.get("Authorization")})
+        type(self).seen.append(
+            {
+                "body": body,
+                "auth": self.headers.get("Authorization"),
+                "host": self.headers.get("Host"),
+            }
+        )
         behaviour = type(self).script.pop(0) if type(self).script else type(self).behaviour
         payload = json.dumps({"text": f"echo: {body['prompt'][:20]}"}).encode()
         if behaviour in ("ok", "ok-then-close"):
@@ -331,6 +343,51 @@ class _Handler(BaseHTTPRequestHandler):
             half = len(payload) // 2
             chunks = (payload[:half], payload[half:], b"")
             self.wfile.write(b"".join(b"%x\r\n%s\r\n" % (len(c), c) for c in chunks))
+        elif behaviour == "ok-chunked-extended":  # chunk extensions and a trailer
+            self.send_response(200)
+            self.send_header("Transfer-Encoding", "chunked")
+            self.end_headers()
+            half = len(payload) // 2
+            self.wfile.write(
+                b"%x;name=value\r\n%s\r\n%x ; quoted=\"a;b\"\r\n%s\r\n"
+                b"0;last\r\nX-Trailer: t\r\nX-Other: u\r\n\r\n"
+                % (half, payload[:half], len(payload) - half, payload[half:])
+            )
+        elif behaviour in ("ok-after-100", "ok-after-103"):  # interim responses first
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+            if behaviour == "ok-after-103":
+                self.wfile.write(
+                    b"HTTP/1.1 103 Early Hints\r\nLink: </a.css>; rel=preload\r\n\r\n"
+                )
+            self._answer(200, payload)
+        elif behaviour.startswith("fields-"):  # this many field lines in all
+            count = int(behaviour.removeprefix("fields-"))
+            # send_response adds Server and Date, _answer Content-Length
+            self._answer(200, payload, {f"X-Field-{n}": "1" for n in range(count - 3)})
+        elif behaviour.startswith("line-"):  # a field line of this many bytes
+            size = int(behaviour.removeprefix("line-"))
+            self._answer(200, payload, {"X-Long": "a" * (size - len("X-Long: \r\n"))})
+        elif behaviour == "long-status":
+            self.wfile.write(b"HTTP/1.1 200 " + b"O" * 65536 + b"\r\n\r\n")
+            self.close_connection = True
+        elif behaviour == "bad-status":
+            self.wfile.write(b"HTTP/2.0 200 OK\r\nContent-Length: 0\r\n\r\n")
+        elif behaviour in ("bad-chunk-size", "chunk-cut-short"):
+            self.send_response(200)
+            self.send_header("Transfer-Encoding", "chunked")
+            self.end_headers()
+            size = b"zz" if behaviour == "bad-chunk-size" else b"%x" % (len(payload) + 1)
+            self.wfile.write(size + b"\r\n" + payload)
+            self.close_connection = True
+        elif behaviour in ("no-content", "not-modified"):  # no body, no length
+            self.send_response(204 if behaviour == "no-content" else 304)
+            self.end_headers()
+        elif behaviour == "short-body":  # the connection ends before the body does
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(payload) + 10))
+            self.end_headers()
+            self.wfile.write(payload)
+            self.close_connection = True
         elif behaviour == "not-json":
             self._answer(200, b"plain text, not json")
         elif behaviour == "missing-field":
@@ -637,6 +694,21 @@ def test_http_backend_resends_on_a_connection_closed_while_idle(keep_alive_serve
     assert sleeps == []  # the re-sends were not retries
 
 
+def test_http_backend_resends_once_then_retries(keep_alive_server, sleeps):
+    # a re-send that meets a closed connection again is an error, not a loop
+    _Handler.script = ["ok"]
+    _Handler.behaviour = "hang-up"
+    backend = HttpBackend(url=keep_alive_server.url, max_retries=1)
+    try:
+        assert backend.generate("x", GenerationConfig()) == "echo: x"
+        with pytest.raises(BackendUnavailableError):
+            backend.generate("y", GenerationConfig())
+    finally:
+        backend.close()
+    assert len(_Handler.seen) == 4  # the answer, then a re-send and a retry
+    assert len(sleeps) == 1
+
+
 @pytest.mark.skipif(
     not hasattr(socket, "TCP_QUICKACK"), reason="the platform has no TCP_QUICKACK"
 )
@@ -741,10 +813,146 @@ def test_http_backend_backs_off_with_full_jitter(http_server, sleeps):
     assert random.getstate() == state  # from the backend's own generator
 
 
+@pytest.mark.parametrize("behaviour", ["ok-after-100", "ok-after-103"])
+def test_http_backend_skips_interim_responses(keep_alive_server, behaviour):
+    _Handler.behaviour = behaviour
+    backend = HttpBackend(url=keep_alive_server.url, max_retries=0)
+    try:
+        for n in range(2):
+            assert backend.generate(f"p{n}", GenerationConfig()) == f"echo: p{n}"
+    finally:
+        backend.close()
+    assert keep_alive_server.connections == 1
+
+
+@pytest.mark.parametrize(
+    "behaviour",
+    [
+        "long-status",
+        "bad-status",
+        "line-65537",
+        "fields-101",
+        "bad-chunk-size",
+        "chunk-cut-short",
+    ],
+)
+def test_http_backend_retries_a_malformed_response(keep_alive_server, behaviour, sleeps):
+    _Handler.behaviour = behaviour
+    backend = HttpBackend(url=keep_alive_server.url, max_retries=1)
+    try:
+        with pytest.raises(BackendUnavailableError):
+            backend.generate("x", GenerationConfig())
+    finally:
+        backend.close()
+    assert len(_Handler.seen) == 2
+    assert len(sleeps) == 1
+    assert keep_alive_server.wait_until_closed()
+
+
+@pytest.mark.parametrize("behaviour", ["line-65536", "fields-100"])
+def test_http_backend_takes_a_head_at_the_limits(keep_alive_server, behaviour):
+    _Handler.behaviour = behaviour
+    backend = HttpBackend(url=keep_alive_server.url, max_retries=0)
+    try:
+        for n in range(2):
+            assert backend.generate(f"p{n}", GenerationConfig()) == f"echo: p{n}"
+    finally:
+        backend.close()
+    assert keep_alive_server.connections == 1
+
+
+@pytest.mark.parametrize(
+    "behaviour, error", [("no-content", "not JSON"), ("not-modified", "status 304")]
+)
+def test_http_backend_reads_no_body_after_a_204_or_304(keep_alive_server, behaviour, error):
+    _Handler.script = [behaviour]
+    backend = HttpBackend(url=keep_alive_server.url, timeout=2.0, max_retries=0)
+    try:
+        with pytest.raises(MalformedResponseError, match=error):
+            backend.generate("x", GenerationConfig())
+        assert backend.generate("y", GenerationConfig()) == "echo: y"
+    finally:
+        backend.close()
+    assert keep_alive_server.connections == 1
+
+
+def test_http_backend_retries_a_body_cut_short(keep_alive_server, sleeps):
+    _Handler.script = ["short-body"]
+    backend = HttpBackend(url=keep_alive_server.url, max_retries=1)
+    try:
+        assert backend.generate("x", GenerationConfig()) == "echo: x"
+    finally:
+        backend.close()
+    assert len(_Handler.seen) == 2
+    assert len(sleeps) == 1  # a retry, not a re-send
+    assert keep_alive_server.connections == 2
+
+
+def test_http_backend_reads_chunk_extensions_and_trailers(keep_alive_server):
+    _Handler.behaviour = "ok-chunked-extended"
+    backend = HttpBackend(url=keep_alive_server.url, max_retries=0)
+    try:
+        for n in range(3):  # chunks of 15 and 16 bytes: sizes "f" and "10"
+            text = backend.generate(f"prompt number {n}", GenerationConfig())
+            assert text == f"echo: prompt number {n}"
+    finally:
+        backend.close()
+    assert keep_alive_server.connections == 1
+    assert keep_alive_server.wait_until_closed()
+
+
+def test_http_backend_sends_the_host_and_port_without_userinfo(keep_alive_server):
+    host = keep_alive_server.url.removeprefix("http://")
+    backend = HttpBackend(url=f"http://user:pw@{host}/generate", max_retries=0)
+    try:
+        backend.generate("x", GenerationConfig())
+    finally:
+        backend.close()
+    assert [seen["host"] for seen in _Handler.seen] == [host]
+
+
+@pytest.mark.parametrize(
+    "url, host",
+    [
+        # each as http.client sends it
+        ("http://u:p@Example.com/x", "Example.com"),
+        ("http://example.com:80/x", "example.com"),
+        ("https://example.com:443/x", "example.com"),
+        ("https://example.com:80/x", "example.com:80"),
+        ("http://host:/x", "host"),
+        ("http://[::1]:8080/x", "[::1]:8080"),
+        ("http://[fe80::1%25eth0]/x", "[fe80::1]"),
+        ("http://bücher.example:8080/x", "xn--bcher-kva.example:8080"),
+    ],
+)
+def test_the_host_field_is_the_one_http_client_sends(url, host):
+    _, direct, proxied = http_backend._route("url", url)
+    assert f"\r\nHost: {host}\r\n".encode() in direct
+    assert proxied.startswith(f"POST {url[: url.index(':')]}://{host}/x HTTP/1.1".encode())
+
+
+def test_a_token_that_would_break_the_head_is_never_sent(keep_alive_server, tmp_path, monkeypatch):
+    monkeypatch.setenv("TEST_API_TOKEN", "sekret\r\nX-Injected: 1")
+    config = RunConfig(
+        out_dir=tmp_path,
+        methods=[PromptMethod.ORIGINAL],
+        backend=HttpBackend(
+            url=keep_alive_server.url, auth_env="TEST_API_TOKEN", max_retries=0
+        ),
+    )
+    with pytest.raises(BackendUnavailableError):
+        generate_stage(config)
+    assert _Handler.seen == []
+    summary = (tmp_path / "run_summary.json").read_text()
+    assert "sekret" not in summary and "Injected" not in summary
+    assert "the token in TEST_API_TOKEN holds CR, LF or NUL" in summary
+
+
 class _Proxy(_Handler):
     """Records each request; answers a POST itself and refuses a tunnel."""
 
     seen = []
+    garbled = False  # refuse a tunnel with no status line
 
     def do_POST(self):
         self.rfile.read(int(self.headers.get("Content-Length", 0)))
@@ -753,7 +961,10 @@ class _Proxy(_Handler):
 
     def do_CONNECT(self):
         self._record()
-        self._answer(502)
+        if type(self).garbled:
+            self.wfile.write(b"garbage\r\n\r\n")
+        else:
+            self._answer(502)
 
     def _record(self):
         type(self).seen.append(
@@ -766,6 +977,7 @@ def _recording_proxy(monkeypatch, context=None):
         if name.lower().endswith("_proxy"):
             monkeypatch.delenv(name)
     _Proxy.seen = []
+    _Proxy.garbled = False
     server = _serve(_Proxy, context)
     yield f"127.0.0.1:{server.server_port}"
     _stop(server)
@@ -830,6 +1042,18 @@ def test_http_backend_tunnels_an_https_url_through_the_proxy(proxy, monkeypatch)
     finally:
         backend.close()
     assert _Proxy.seen == [("CONNECT", "127.0.0.2:9", _BASIC)]
+
+
+def test_a_garbled_tunnel_answer_leaves_no_socket_open(proxy, monkeypatch):
+    _Proxy.garbled = True
+    monkeypatch.setenv("https_proxy", f"http://{proxy}")
+    backend = HttpBackend(url="https://127.0.0.2:9/generate", max_retries=0)
+    with pytest.raises(BackendUnavailableError, match="garbage"):
+        backend.generate("x", GenerationConfig())
+    # the error's traceback holds the connection; a socket left open would
+    # now raise a ResourceWarning, which fails the test
+    gc.collect()
+    assert _Proxy.seen == [("CONNECT", "127.0.0.2:9", None)]
 
 
 def test_http_backend_goes_direct_to_a_host_no_proxy_lists(proxy, http_server, monkeypatch):
@@ -943,7 +1167,7 @@ def test_truncated_last_line_is_dropped_and_regenerated(tmp_path):
     path.write_bytes(full[:-40])  # a crash in the middle of the last write
 
     sink = RecordSink(path)
-    assert path.read_bytes() == full[: -len(last_line)]
+    assert path.read_bytes() == full[:-40]  # opening mends nothing
     assert sink.dropped_tail == {"line": 288, "bytes": len(last_line) - 40}
     summary = run_matrix(
         [Language.HINDI], [PromptMethod.ORIGINAL], StubBackend(seed=1), sink
@@ -965,6 +1189,7 @@ def test_truncation_inside_a_multibyte_character_is_a_partial_write(tmp_path):
     sink = RecordSink(path)
     assert first.record_id in sink and second.record_id not in sink
     assert sink.dropped_tail["line"] == 2
+    sink.close()  # cuts the torn line
     assert read_records(path) == [first]
 
 
@@ -994,8 +1219,10 @@ def test_complete_unterminated_last_line_is_kept(tmp_path):
     path.write_bytes(full[:-1])
     sink = RecordSink(path)
     assert sink.dropped_tail is None
-    assert path.read_bytes() == full
+    assert path.read_bytes() == full[:-1]
     assert len(sink._ids) == 288
+    sink.close()  # ends the last line
+    assert path.read_bytes() == full
 
 
 def test_corrupt_line_before_the_last_is_refused(tmp_path):

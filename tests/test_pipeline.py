@@ -258,22 +258,32 @@ def test_pipeline_parses_the_record_file_once(tmp_path, monkeypatch, resume):
 
 
 @pytest.mark.parametrize(
-    "wider, named",
+    "wider, named, cut",
     [
-        ({"languages": ["hindi", "bengali"]}, "bengali/original"),
-        ({"methods": ["original", "simple"]}, "hindi/simple"),
+        ({"languages": ["hindi", "bengali"]}, "bengali/original", False),
+        ({"methods": ["original", "simple"]}, "hindi/simple", False),
+        ({"languages": ["hindi", "tamil"]}, "tamil/original", True),
     ],
-    ids=["narrowed-languages", "narrowed-methods"],
+    ids=["narrowed-languages", "narrowed-methods", "narrowed-languages-cut-short"],
 )
 def test_a_resume_refuses_records_off_the_configs_grid(
-    tmp_path, capsys, wider, named
+    tmp_path, capsys, wider, named, cut
 ):
     """A run into a tree made with a wider grid would score and average the
-    records the config no longer lists; it stops before writing anything."""
+    records the config no longer lists; it stops before writing anything,
+    and before mending a last record line a crash cut short."""
     out = tmp_path / "run"
     settings = {"out_dir": str(out), "methods": ["original"], "seed": 3}
     pipeline_run(parse_config({**settings, **wider}))
+    if cut:  # 100 bytes into the last line
+        records = out / "records.jsonl"
+        data = records.read_bytes()
+        records.write_bytes(data[: data.rstrip(b"\n").rfind(b"\n") + 101])
     before = _tree_digest(out)
+    with pytest.raises(StageError, match=named) as info:
+        pipeline_run(parse_config(settings))
+    assert isinstance(info.value.cause, ConfigError)
+    assert _tree_digest(out) == before
     config = tmp_path / "config.json"
     config.write_text(json.dumps(settings))
     assert main(["pipeline", "--config", str(config)]) == 1

@@ -7,13 +7,8 @@ import pytest
 from biaslex.corpus import DocumentKey
 from biaslex.identities import (
     ApplicationKind,
-    Children,
-    Gender,
-    Identity,
     Language,
-    MaritalStatus,
     PromptMethod,
-    Religion,
     enumerate_identities,
 )
 from biaslex.report import (

@@ -14,7 +14,6 @@ from biaslex.identities import (
     ApplicationKind,
     Children,
     Gender,
-    Identity,
     Language,
     MaritalStatus,
     PromptMethod,
